@@ -953,6 +953,51 @@ fn split_retry_into<I, R, E>(
     }
 }
 
+/// Coalesced multi-request execution with per-group outcomes — the one body
+/// behind every workload's `txn_insert_groups`. Each element of `groups` is
+/// one caller's independent key batch, and the whole admitted set runs as
+/// **one** call of `run` over the concatenated keys: the long index vector
+/// the paper's economics want.
+///
+/// Admission is greedy and host-side: `admit` sees each group in order and
+/// returns `None` to admit it (recording whatever budget the group claims)
+/// or the reason it is refused, which becomes that group's
+/// [`GroupError::Rejected`] before any transaction opens; later, smaller
+/// groups may still be admitted. If the coalesced run fails, [`split_retry`]
+/// bisects the admitted groups so each group succeeds or fails on its own
+/// merits — a single adversarial group costs `O(log n)` extra runs and
+/// cannot poison its siblings.
+///
+/// Returns one outcome per input group, in order; an `Ok` carries the result
+/// of the (possibly shared) run that landed the group.
+pub fn run_coalesced_groups<R: Clone>(
+    groups: &[Vec<Word>],
+    mut admit: impl FnMut(&[Word]) -> Option<String>,
+    mut run: impl FnMut(&[Word]) -> Result<R, RecoveryError>,
+) -> Vec<Result<R, GroupError>> {
+    let mut admitted: Vec<usize> = Vec::new();
+    let mut out: Vec<Option<Result<R, GroupError>>> = vec![None; groups.len()];
+    for (i, g) in groups.iter().enumerate() {
+        match admit(g) {
+            Some(reason) => out[i] = Some(Err(GroupError::Rejected { reason })),
+            None => admitted.push(i),
+        }
+    }
+    let results = split_retry(&admitted, &mut |idxs: &[usize]| {
+        let keys: Vec<Word> = idxs
+            .iter()
+            .flat_map(|&i| groups[i].iter().copied())
+            .collect();
+        run(&keys)
+    });
+    for (&slot, r) in admitted.iter().zip(results) {
+        out[slot] = Some(r.map_err(GroupError::from));
+    }
+    out.into_iter()
+        .map(|o| o.expect("every group has an outcome"))
+        .collect()
+}
+
 /// Derives a fresh, deterministic seed for retry attempt `attempt`.
 fn derive_seed(seed: u64, attempt: usize) -> u64 {
     let mut z = seed ^ (attempt as u64).wrapping_mul(0x9E3779B97F4A7C15);
@@ -1604,38 +1649,17 @@ where
     T: Clone + std::hash::Hash,
     F: FnMut(&mut T, usize),
 {
-    let index_vec: Vec<Word> = targets.iter().map(|&t| t as Word).collect();
-    let mut staged: Option<Vec<T>> = None;
-    let shadow: &[T] = data;
-    let (d, report) = run_transaction(m, policy, |m, mode| {
-        let mut wd = policy.watchdog.as_ref().map(Watchdog::start);
-        let d = decompose_with_mode_watched(
-            m,
-            work,
-            &index_vec,
-            mode,
-            policy.validation,
-            &mut |live| wd.as_mut().map_or(Ok(()), |w| w.observe(live)),
-        )?;
-        let mut scratch = shadow.to_vec();
-        try_apply_rounds(&mut scratch, targets, &d, policy.validation, &mut f)?;
-        let expected = stage_digest(&scratch);
-        stage_hook(&mut scratch);
-        let actual = stage_digest(&scratch);
-        if actual != expected {
-            return Err(FolError::Integrity(IntegrityError::ChecksumMismatch {
-                region: "(host stage)".to_string(),
-                base: 0,
-                len: scratch.len(),
-                expected,
-                actual,
-            }));
-        }
-        staged = Some(scratch);
-        Ok(d)
-    })?;
-    data.clone_from_slice(&staged.expect("txn_apply_rounds: success always stages data"));
-    Ok((d, report))
+    txn_apply_rounds_with(
+        m,
+        work,
+        data,
+        targets,
+        policy,
+        |scratch: &mut [T], d: &Decomposition| {
+            try_apply_rounds(scratch, targets, d, policy.validation, &mut f)
+        },
+        stage_hook,
+    )
 }
 
 /// Transactional [`crate::parallel::try_par_apply_rounds`]: like
@@ -1653,24 +1677,36 @@ where
     T: Clone + Send + std::hash::Hash,
     F: Fn(&mut T, usize) + Sync,
 {
-    txn_par_apply_rounds_hooked(m, work, data, targets, policy, f, &mut |_| {})
+    txn_apply_rounds_with(
+        m,
+        work,
+        data,
+        targets,
+        policy,
+        |scratch: &mut [T], d: &Decomposition| {
+            try_par_apply_rounds(scratch, targets, d, policy.validation, &f)
+        },
+        &mut |_| {},
+    )
 }
 
-/// [`txn_par_apply_rounds`] with the same host-stage fault-injection hook
-/// as [`txn_apply_rounds_hooked`].
-#[doc(hidden)]
-pub fn txn_par_apply_rounds_hooked<T, F>(
+/// The one body behind the sequential and parallel apply-rounds brackets:
+/// per attempt, decompose `targets` under the rung's mode (watched by the
+/// policy's watchdog), run `apply` on a host copy of `data`, and digest the
+/// staged copy around `stage_hook`; `data` is overwritten only after an
+/// attempt commits.
+fn txn_apply_rounds_with<T, A>(
     m: &mut Machine,
     work: Region,
     data: &mut [T],
     targets: &[usize],
     policy: &RetryPolicy,
-    f: F,
+    mut apply: A,
     stage_hook: &mut dyn FnMut(&mut [T]),
 ) -> Result<(Decomposition, RecoveryReport), RecoveryError>
 where
-    T: Clone + Send + std::hash::Hash,
-    F: Fn(&mut T, usize) + Sync,
+    T: Clone + std::hash::Hash,
+    A: FnMut(&mut [T], &Decomposition) -> Result<(), FolError>,
 {
     let index_vec: Vec<Word> = targets.iter().map(|&t| t as Word).collect();
     let mut staged: Option<Vec<T>> = None;
@@ -1686,7 +1722,7 @@ where
             &mut |live| wd.as_mut().map_or(Ok(()), |w| w.observe(live)),
         )?;
         let mut scratch = shadow.to_vec();
-        try_par_apply_rounds(&mut scratch, targets, &d, policy.validation, &f)?;
+        apply(&mut scratch, &d)?;
         let expected = stage_digest(&scratch);
         stage_hook(&mut scratch);
         let actual = stage_digest(&scratch);
@@ -1702,7 +1738,7 @@ where
         staged = Some(scratch);
         Ok(d)
     })?;
-    data.clone_from_slice(&staged.expect("txn_par_apply_rounds: success always stages data"));
+    data.clone_from_slice(&staged.expect("txn_apply_rounds: success always stages data"));
     Ok((d, report))
 }
 

@@ -11,7 +11,6 @@
 //! The scalar baseline is classic label propagation; a host union-find is
 //! the oracle in the tests.
 
-use fol_core::decompose::fol1_machine;
 use fol_core::error::{FolError, Validation};
 use fol_core::recover::{
     decompose_with_mode, run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport,
@@ -103,84 +102,36 @@ pub fn scalar_components(m: &mut Machine, g: &Components) -> usize {
 /// batch of `(target, proposed label)` updates; FOL rounds apply the
 /// minimum-updates without losing any. Returns the number of sweeps.
 pub fn vectorized_components(m: &mut Machine, g: &Components) -> usize {
-    g.init_labels(m);
-    if g.edges.is_empty() || g.n == 0 {
-        return 0;
-    }
-    // Both directions: a -> b and b -> a.
-    let targets: Vec<Word> = g.edges.iter().flat_map(|&(a, b)| [b, a]).collect();
-    let sources: Vec<Word> = g.edges.iter().flat_map(|&(a, b)| [a, b]).collect();
-    let src_v = m.vimm(&sources);
-    let mut sweeps = 0;
-
-    loop {
-        sweeps += 1;
-        // Proposed labels = labels[source]; accept where smaller.
-        let proposed = m.gather(g.labels, &src_v);
-        let tgt_v = m.vimm(&targets);
-        let current = m.gather(g.labels, &tgt_v);
-        let improving = m.vcmp(CmpOp::Lt, &proposed, &current);
-        let n_improving = m.count_true(&improving);
-        if n_improving == 0 {
-            return sweeps;
-        }
-        let upd_target = m.compress(&tgt_v, &improving);
-        let upd_label = m.compress(&proposed, &improving);
-
-        // Aliased min-updates: decompose by target, then per round
-        // gather-min-scatter (conflict-free within a round).
-        let tgt_words: Vec<Word> = upd_target.iter().collect();
-        let d = fol1_machine(m, g.work, &tgt_words);
-        for round in d.iter() {
-            let t: VReg = round.iter().map(|&p| upd_target.get(p)).collect();
-            let l: VReg = round.iter().map(|&p| upd_label.get(p)).collect();
-            let cur = m.gather(g.labels, &t);
-            let new = m.valu(AluOp::Min, &cur, &l);
-            m.scatter(g.labels, &t, &new);
-        }
-    }
+    propagate_sweeps(m, g, ExecMode::Vector, Validation::Off, false)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible vectorized label propagation under an explicit [`ExecMode`]:
-/// the per-sweep decomposition of the aliased min-updates comes from
-/// [`decompose_with_mode`] (typed errors instead of panics; tear-immune
+/// The label-propagation sweep loop behind both [`vectorized_components`]
+/// and [`txn_components`], run at whatever lane width the caller has
+/// installed. The per-sweep decomposition of the aliased min-updates comes
+/// from [`decompose_with_mode`] (typed errors instead of panics; tear-immune
 /// singleton label scatters under `ForcedSequential`), and the sweep loop
 /// is bounded by `n + 1` sweeps — the minimum-label fixpoint needs at most
 /// `n` sweeps on healthy hardware, so exceeding the budget is the typed
-/// signature of updates being persistently dropped. `ScalarTail` runs
-/// [`scalar_components`], which no scatter fault can touch.
-pub fn try_vectorized_components(
-    m: &mut Machine,
-    g: &Components,
-    mode: ExecMode,
-    validation: Validation,
-) -> Result<usize, FolError> {
-    if mode == ExecMode::ScalarTail {
-        return Ok(scalar_components(m, g));
-    }
-    if let ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } =
-        mode
-    {
-        // The whole sweep — payload gathers and min-update scatters included,
-        // not just the decomposition — runs under the reduced-width schedule,
-        // so a sticky quarantined lane never sees any of this sweep's writes.
-        return with_lane_mask(m, quarantined, |m| propagate_sweeps(m, g, mode, validation));
-    }
-    propagate_sweeps(m, g, mode, validation)
-}
-
-/// The label-propagation sweep loop behind [`try_vectorized_components`],
-/// run at whatever lane width the caller has installed.
+/// signature of updates being persistently dropped.
+///
+/// `guarded` echoes every min-update round back with a gather, as the
+/// supervised stream always has: a dropped or torn update would otherwise
+/// heal on a later sweep (or not at all), hiding a sick lane from the
+/// health registry and the escalation ladder. The paper stream skips the
+/// echo.
 fn propagate_sweeps(
     m: &mut Machine,
     g: &Components,
     mode: ExecMode,
     validation: Validation,
+    guarded: bool,
 ) -> Result<usize, FolError> {
     g.init_labels(m);
     if g.edges.is_empty() || g.n == 0 {
         return Ok(0);
     }
+    // Both directions: a -> b and b -> a.
     let targets: Vec<Word> = g.edges.iter().flat_map(|&(a, b)| [b, a]).collect();
     let sources: Vec<Word> = g.edges.iter().flat_map(|&(a, b)| [a, b]).collect();
     let src_v = m.vimm(&sources);
@@ -196,6 +147,7 @@ fn propagate_sweeps(
             });
         }
         sweeps += 1;
+        // Proposed labels = labels[source]; accept where smaller.
         let proposed = m.gather(g.labels, &src_v);
         let tgt_v = m.vimm(&targets);
         let current = m.gather(g.labels, &tgt_v);
@@ -206,6 +158,8 @@ fn propagate_sweeps(
         let upd_target = m.compress(&tgt_v, &improving);
         let upd_label = m.compress(&proposed, &improving);
 
+        // Aliased min-updates: decompose by target, then per round
+        // gather-min-scatter (conflict-free within a round).
         let tgt_words: Vec<Word> = upd_target.iter().collect();
         let d = decompose_with_mode(m, g.work, &tgt_words, mode, validation)?;
         for round in d.iter() {
@@ -214,15 +168,13 @@ fn propagate_sweeps(
             let cur = m.gather(g.labels, &t);
             let new = m.valu(AluOp::Min, &cur, &l);
             m.scatter(g.labels, &t, &new);
-            // Echo the round back: a dropped or torn min-update would
-            // otherwise heal on a later sweep (or not at all), hiding a
-            // sick lane from the health registry and the escalation
-            // ladder.
-            let echo = m.gather(g.labels, &t);
-            if echo.iter().zip(new.iter()).any(|(a, b)| a != b) {
-                return Err(FolError::PostConditionFailed {
-                    what: "components min-update write-back",
-                });
+            if guarded {
+                let echo = m.gather(g.labels, &t);
+                if echo.iter().zip(new.iter()).any(|(a, b)| a != b) {
+                    return Err(FolError::PostConditionFailed {
+                        what: "components min-update write-back",
+                    });
+                }
             }
         }
     }
@@ -250,7 +202,19 @@ pub fn txn_components(
     let expected = union_find_components(g.n, &g.edges);
     let validation = policy.validation;
     run_transaction(m, policy, |m, mode| {
-        let sweeps = try_vectorized_components(m, g, mode, validation)?;
+        let sweeps = match mode {
+            ExecMode::ScalarTail => scalar_components(m, g),
+            // The whole sweep — payload gathers and min-update scatters
+            // included, not just the decomposition — runs under the
+            // reduced-width schedule, so a sticky quarantined lane never
+            // sees any of this sweep's writes.
+            ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
+                with_lane_mask(m, quarantined, |m| {
+                    propagate_sweeps(m, g, mode, validation, true)
+                })?
+            }
+            _ => propagate_sweeps(m, g, mode, validation, true)?,
+        };
         if g.labelling(m) != expected {
             return Err(FolError::PostConditionFailed {
                 what: "components labelling",
@@ -370,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn try_components_matches_infallible_in_every_mode() {
+    fn guarded_stream_matches_paper_stream_in_every_mode() {
         let edges = [(0, 1), (1, 2), (3, 4), (5, 5), (2, 0)];
         let mut m0 = Machine::new(CostModel::unit());
         let g0 = Components::new(&mut m0, 7, &edges);
@@ -383,8 +347,16 @@ mod tests {
         ] {
             let mut m = Machine::new(CostModel::unit());
             let g = Components::new(&mut m, 7, &edges);
-            let sweeps =
-                try_vectorized_components(&mut m, &g, mode, Validation::Full).expect("no faults");
+            let (sweeps, _) = txn_components(
+                &mut m,
+                &g,
+                &RetryPolicy {
+                    ladder: vec![mode],
+                    validation: Validation::Full,
+                    ..RetryPolicy::default()
+                },
+            )
+            .expect("no faults");
             assert!(sweeps >= 1, "{mode:?}");
             assert_eq!(g.labelling(&m), expect, "{mode:?}");
         }
@@ -398,7 +370,7 @@ mod tests {
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(17, 65535)));
         let g = Components::new(&mut m, 5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let err =
-            try_vectorized_components(&mut m, &g, ExecMode::Vector, Validation::Full).unwrap_err();
+            propagate_sweeps(&mut m, &g, ExecMode::Vector, Validation::Full, true).unwrap_err();
         assert!(matches!(
             err,
             FolError::RoundBudgetExceeded { .. }

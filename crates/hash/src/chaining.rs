@@ -14,12 +14,13 @@
 //! the heads).
 
 use crate::hash_mod;
-use fol_core::error::{FolError, Validation};
+use fol_core::error::FolError;
 use fol_core::recover::{
-    run_transaction, split_retry, with_lane_mask, ExecMode, GroupError, RecoveryError,
-    RecoveryReport, RetryPolicy,
+    decompose_with_mode, run_coalesced_groups, run_transaction, with_lane_mask, ExecMode,
+    GroupError, RecoveryError, RecoveryReport, RetryPolicy,
 };
-use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
+use fol_core::Decomposition;
+use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
 
 /// Nil chain pointer.
 pub const NIL: Word = -1;
@@ -63,23 +64,38 @@ impl ChainTable {
     /// key list from chain head to tail. Diagnostic (no cycles charged).
     ///
     /// # Panics
-    /// Panics if a chain is longer than the arena (a cycle).
+    /// Panics if a chain is longer than the arena (a cycle) or leaves it.
     pub fn chains(&self, m: &Machine) -> Vec<Vec<Word>> {
         (0..self.buckets())
             .map(|b| {
                 let mut out = Vec::new();
-                let mut p = m.mem().read(self.heads.at(b));
-                let mut steps = 0;
-                while p != NIL {
-                    assert!(steps <= self.arena.len(), "cycle in chain {b}");
-                    let off = p as usize;
-                    out.push(m.mem().read(self.arena.at(off)));
-                    p = m.mem().read(self.arena.at(off + 1));
-                    steps += 1;
-                }
+                self.walk_chain(m, b, |k| out.push(k))
+                    .unwrap_or_else(|e| panic!("{e}"));
                 out
             })
             .collect()
+    }
+
+    /// The one chain walker: visits bucket `b`'s keys from head to tail.
+    /// Refuses to panic on a corrupted table — a chain cycle or a wild head
+    /// or next pointer (outside the arena) is returned as a description, so
+    /// the transactional post-condition can read fault debris safely.
+    fn walk_chain(&self, m: &Machine, b: usize, mut visit: impl FnMut(Word)) -> Result<(), String> {
+        let mut p = m.mem().read(self.heads.at(b));
+        let mut steps = 0usize;
+        while p != NIL {
+            if steps > self.arena.len() {
+                return Err(format!("cycle in chain {b}"));
+            }
+            if p < 0 || p as usize + 1 >= self.arena.len() {
+                return Err(format!("wild pointer {p} in chain {b}"));
+            }
+            let off = p as usize;
+            visit(m.mem().read(self.arena.at(off)));
+            p = m.mem().read(self.arena.at(off + 1));
+            steps += 1;
+        }
+        Ok(())
     }
 
     /// True when `key` is in its bucket's chain.
@@ -131,74 +147,34 @@ pub fn scalar_insert_all(m: &mut Machine, table: &mut ChainTable, keys: &[Word])
 
 /// Vectorized insertion by FOL1 (Fig 7). Returns the number of FOL rounds.
 pub fn vectorized_insert_all(m: &mut Machine, table: &mut ChainTable, keys: &[Word]) -> usize {
-    if keys.is_empty() {
-        return 0;
-    }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
-
-    // Materialize keys, compute hashed values and node pointers, and fill
-    // the nodes' key fields — all conflict-free vector work.
-    let key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let mut node_ptr = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr, &key_v);
-
-    // FOL1 rounds, main processing amalgamated (as in Fig 7).
-    let mut labels = positions;
-    let mut rounds = 0usize;
-    while !hv.is_empty() {
-        rounds += 1;
-        // FOL processes 1-2: write labels through hv, read back, compare.
-        m.scatter(table.work, &hv, &labels);
-        let got = m.gather(table.work, &hv);
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        // Main processing (process 3) for survivors: link nodes in front of
-        // the old heads. Within a round the buckets are distinct, so all
-        // three list-vector ops are conflict-free.
-        let hv_s = m.compress(&hv, &ok);
-        let ptr_s = m.compress(&node_ptr, &ok);
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
-        // Process 4: repeat for the filtered keys.
-        let rest = m.mask_not(&ok);
-        hv = m.compress(&hv, &rest);
-        node_ptr = m.compress(&node_ptr, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-    rounds
+    insert_kernel(m, table, keys, false).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible vectorized insertion: [`vectorized_insert_all`] with the FOL1
-/// loop bounded by `keys.len()` rounds (the worst legal case, Theorem 6)
-/// and every detection pass checked for a survivor (Theorem 1). Under
-/// ELS-violating hardware ([`fol_vm::fault`]) the loop returns a typed
-/// error instead of spinning or silently dropping keys.
+/// The FOL1 insertion loop (Fig 7) behind both [`vectorized_insert_all`] and
+/// [`txn_insert_all`]. The loop is bounded by `keys.len()` rounds (the worst
+/// legal case, Theorem 6), every detection pass is checked for a survivor
+/// (Theorem 1) and every label round is judged by the ELS auditor (free when
+/// the auditor is off). Under ELS-violating hardware ([`fol_vm::fault`]) it
+/// returns a typed error instead of spinning or silently dropping keys.
 ///
-/// Rounds already executed stay applied on failure — run it inside a
-/// machine transaction ([`txn_insert_all`]) for all-or-nothing semantics.
-pub fn try_vectorized_insert_all(
+/// `guarded` charges the survivor count as a vector reduction, as the
+/// supervised stream always has; the paper's stream counts survivors on the
+/// host, so Fig 7's modelled cost is unchanged.
+///
+/// Rounds already executed stay applied on failure — [`txn_insert_all`]
+/// runs it inside a machine transaction for all-or-nothing semantics.
+fn insert_kernel(
     m: &mut Machine,
     table: &mut ChainTable,
     keys: &[Word],
+    guarded: bool,
 ) -> Result<usize, FolError> {
     if keys.is_empty() {
         return Ok(0);
     }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
+    let (mut hv, mut node_ptr, positions) = stage_nodes(m, table, keys);
 
-    let key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let mut node_ptr = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr, &key_v);
-
+    // FOL1 rounds, main processing amalgamated (as in Fig 7).
     let budget = keys.len();
     let mut labels = positions;
     let mut rounds = 0usize;
@@ -210,24 +186,31 @@ pub fn try_vectorized_insert_all(
                 completed_rounds: rounds,
             });
         }
+        // FOL processes 1-2: write labels through hv, read back, compare.
         m.audit_note_scatter(table.work, &hv, &labels);
         m.scatter(table.work, &hv, &labels);
         let got = m.gather(table.work, &hv);
         m.audit_check_gather(table.work, &hv, &got)
             .map_err(FolError::from)?;
         let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        if m.count_true(&ok) == 0 {
+        let survivors = if guarded {
+            m.count_true(&ok)
+        } else {
+            ok.popcount()
+        };
+        if survivors == 0 {
             return Err(FolError::NoSurvivors {
                 iteration: rounds,
                 live: hv.len(),
             });
         }
+        // Main processing (process 3) for survivors: link nodes in front of
+        // the old heads. Within a round the buckets are distinct, so all
+        // three list-vector ops are conflict-free.
         let hv_s = m.compress(&hv, &ok);
         let ptr_s = m.compress(&node_ptr, &ok);
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
+        link_round(m, table, &hv_s, &ptr_s);
+        // Process 4: repeat for the filtered keys.
         let rest = m.mask_not(&ok);
         hv = m.compress(&hv, &rest);
         node_ptr = m.compress(&node_ptr, &rest);
@@ -237,67 +220,64 @@ pub fn try_vectorized_insert_all(
     Ok(rounds)
 }
 
-/// Decompose-then-apply insertion under an explicit [`ExecMode`]: the
-/// decomposition comes from [`fol_core::recover::decompose_with_mode`] (so
-/// `ForcedSequential` issues tear-immune length-1 label scatters) and the
-/// main processing runs round by round, conflict-free within each round.
-fn insert_via_decomposition(
+/// Materializes a batch: reserves one arena node per key and writes the
+/// nodes' key fields, returning each key's bucket (hashed value), node
+/// pointer and position — all conflict-free vector work.
+fn stage_nodes(m: &mut Machine, table: &mut ChainTable, keys: &[Word]) -> (VReg, VReg, VReg) {
+    let first = table.reserve(keys.len());
+    let key_v = m.vimm(keys);
+    let hv = m.valu_s(AluOp::Mod, &key_v, table.buckets() as Word);
+    let positions = m.iota(0, keys.len());
+    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
+    let node_ptr = m.valu_s(AluOp::Mul, &offs, 2);
+    m.scatter(table.arena, &node_ptr, &key_v);
+    (hv, node_ptr, positions)
+}
+
+/// Main processing for one round: links each node in front of its bucket's
+/// old head. Within a round the buckets are distinct, so all three
+/// list-vector ops are conflict-free.
+fn link_round(m: &mut Machine, table: &ChainTable, hv_s: &VReg, ptr_s: &VReg) {
+    let old_heads = m.gather(table.heads, hv_s);
+    let next_field = m.valu_s(AluOp::Add, ptr_s, 1);
+    m.scatter(table.arena, &next_field, &old_heads);
+    m.scatter(table.heads, hv_s, ptr_s);
+}
+
+/// Decompose-then-apply insertion: `decompose` splits the keys' buckets
+/// into rounds of distinct buckets (using the table's work area), and the
+/// main processing runs round by round. Returns the number of rounds.
+fn insert_by_rounds(
     m: &mut Machine,
     table: &mut ChainTable,
     keys: &[Word],
-    mode: ExecMode,
-    validation: Validation,
+    decompose: impl FnOnce(&mut Machine, Region, &[Word]) -> Result<Decomposition, FolError>,
 ) -> Result<usize, FolError> {
     if keys.is_empty() {
         return Ok(0);
     }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
-
-    let key_v = m.vimm(keys);
-    let hv_all = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let node_ptr_all = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr_all, &key_v);
-
+    let (hv_all, node_ptr_all, _) = stage_nodes(m, table, keys);
     let hv_words: Vec<Word> = hv_all.iter().collect();
-    let d = fol_core::recover::decompose_with_mode(m, table.work, &hv_words, mode, validation)?;
+    let d = decompose(m, table.work, &hv_words)?;
     for round in d.iter() {
-        let hv_s: fol_vm::VReg = round.iter().map(|&p| hv_all.get(p)).collect();
-        let ptr_s: fol_vm::VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
+        let hv_s: VReg = round.iter().map(|&p| hv_all.get(p)).collect();
+        let ptr_s: VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
+        link_round(m, table, &hv_s, &ptr_s);
     }
     Ok(d.num_rounds())
 }
 
-/// Like [`all_keys`] but refuses to panic on a corrupted table: a wild head
-/// or next pointer (outside the arena) or a chain cycle returns `None`
-/// instead. Used as the transactional post-condition reader, where a torn
-/// amalgam may have produced an arbitrary pointer.
-fn checked_all_keys(m: &Machine, table: &ChainTable) -> Option<Vec<Word>> {
-    let mut keys = Vec::new();
+/// The sorted multiset of stored keys, or a description of the corruption
+/// (chain cycle or wild pointer) that stopped the walk. The transactional
+/// post-condition reader, where a torn amalgam may have produced an
+/// arbitrary pointer.
+fn checked_all_keys(m: &Machine, table: &ChainTable) -> Result<Vec<Word>, String> {
+    let mut keys = Vec::with_capacity(table.used_nodes);
     for b in 0..table.buckets() {
-        let mut p = m.mem().read(table.heads.at(b));
-        let mut steps = 0usize;
-        while p != NIL {
-            if steps > table.arena.len() {
-                return None; // cycle
-            }
-            if p < 0 || p as usize + 1 >= table.arena.len() {
-                return None; // wild pointer
-            }
-            let off = p as usize;
-            keys.push(m.mem().read(table.arena.at(off)));
-            p = m.mem().read(table.arena.at(off + 1));
-            steps += 1;
-        }
+        table.walk_chain(m, b, |k| keys.push(k))?;
     }
     keys.sort_unstable();
-    Some(keys)
+    Ok(keys)
 }
 
 /// Transactional multiple insertion: every attempt runs inside a machine
@@ -345,21 +325,20 @@ pub fn txn_insert_all(
     let result = run_transaction(m, policy, |m, mode| {
         table.used_nodes = saved_used;
         let rounds = match mode {
-            ExecMode::Vector => try_vectorized_insert_all(m, table, keys)?,
+            ExecMode::Vector => insert_kernel(m, table, keys, true)?,
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
-                with_lane_mask(m, quarantined, |m| {
-                    try_vectorized_insert_all(m, table, keys)
-                })?
+                with_lane_mask(m, quarantined, |m| insert_kernel(m, table, keys, true))?
             }
-            ExecMode::ForcedSequential => {
-                insert_via_decomposition(m, table, keys, mode, validation)?
-            }
+            // Tear-immune length-1 label scatters.
+            ExecMode::ForcedSequential => insert_by_rounds(m, table, keys, |m, work, hv| {
+                decompose_with_mode(m, work, hv, mode, validation)
+            })?,
             ExecMode::ScalarTail => {
                 scalar_insert_all(m, table, keys);
                 0
             }
         };
-        if checked_all_keys(m, table).as_ref() != Some(&expected) {
+        if checked_all_keys(m, table).as_ref() != Ok(&expected) {
             return Err(FolError::PostConditionFailed {
                 what: "chaining insert contents",
             });
@@ -372,17 +351,11 @@ pub fn txn_insert_all(
     result
 }
 
-/// Coalesced multi-request insertion with per-group outcomes: each element
-/// of `groups` is one caller's independent key batch, and the whole admitted
-/// set is inserted by **one** [`txn_insert_all`] transaction over the
-/// concatenated keys — the long index vector the paper's economics want.
-///
-/// Admission is greedy and host-side: a group whose keys would overflow the
-/// node arena is refused with [`GroupError::Rejected`] before any transaction
-/// opens (later, smaller groups may still be admitted). If the coalesced
-/// transaction fails, [`split_retry`] bisects the admitted groups so each
-/// group succeeds or fails on its own merits — a single adversarial group
-/// costs `O(log n)` extra transactions and cannot poison its siblings.
+/// Coalesced multi-request insertion with per-group outcomes: the admitted
+/// groups enter by **one** [`txn_insert_all`] transaction over their
+/// concatenated keys, and bisection isolates a failing group
+/// ([`run_coalesced_groups`]). A group that would overflow the node arena
+/// is refused with [`GroupError::Rejected`] before any transaction opens.
 ///
 /// Returns one outcome per input group, in order: the FOL round count of the
 /// transaction that landed the group, or a typed [`GroupError`].
@@ -393,37 +366,21 @@ pub fn txn_insert_groups(
     policy: &RetryPolicy,
 ) -> Vec<Result<usize, GroupError>> {
     let capacity = table.arena.len() / 2;
-    let mut admitted: Vec<usize> = Vec::new();
-    let mut out: Vec<Option<Result<usize, GroupError>>> = vec![None; groups.len()];
     let mut planned = table.used_nodes;
-    for (i, g) in groups.iter().enumerate() {
-        if planned + g.len() <= capacity {
+    run_coalesced_groups(
+        groups,
+        |g| {
+            if planned + g.len() > capacity {
+                return Some(format!(
+                    "arena full: group of {} keys, {planned} of {capacity} nodes already planned",
+                    g.len()
+                ));
+            }
             planned += g.len();
-            admitted.push(i);
-        } else {
-            out[i] = Some(Err(GroupError::Rejected {
-                reason: format!(
-                    "arena full: group of {} keys, {} of {} nodes already planned",
-                    g.len(),
-                    planned,
-                    capacity
-                ),
-            }));
-        }
-    }
-    let results = split_retry(&admitted, &mut |idxs: &[usize]| {
-        let keys: Vec<Word> = idxs
-            .iter()
-            .flat_map(|&i| groups[i].iter().copied())
-            .collect();
-        txn_insert_all(m, table, &keys, policy).map(|(rounds, _)| rounds)
-    });
-    for (&slot, r) in admitted.iter().zip(results) {
-        out[slot] = Some(r.map_err(GroupError::from));
-    }
-    out.into_iter()
-        .map(|o| o.expect("every group has an outcome"))
-        .collect()
+            None
+        },
+        |keys| txn_insert_all(m, table, keys, policy).map(|(rounds, _)| rounds),
+    )
 }
 
 /// Order-preserving vectorized insertion: like [`vectorized_insert_all`]
@@ -438,33 +395,12 @@ pub fn vectorized_insert_all_ordered(
     table: &mut ChainTable,
     keys: &[Word],
 ) -> usize {
-    if keys.is_empty() {
-        return 0;
-    }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
-
-    let key_v = m.vimm(keys);
-    let hv_all = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let node_ptr_all = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr_all, &key_v);
-
-    // Decompose with the ordered variant, then run the main processing
-    // round by round; round k holds the k-th colliding key per bucket, so
-    // head insertion reproduces the sequential chain order.
-    let hv_words: Vec<Word> = hv_all.iter().collect();
-    let d = fol_core::ordered::fol1_machine_ordered(m, table.work, &hv_words);
-    for round in d.iter() {
-        let hv_s: fol_vm::VReg = round.iter().map(|&p| hv_all.get(p)).collect();
-        let ptr_s: fol_vm::VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
-    }
-    d.num_rounds()
+    // Round k holds the k-th colliding key per bucket, so head insertion
+    // reproduces the sequential chain order.
+    insert_by_rounds(m, table, keys, |m, work, hv| {
+        Ok(fol_core::ordered::fol1_machine_ordered(m, work, hv))
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Collects every stored key with lock-step vector chain walks (read-only
@@ -501,16 +437,17 @@ pub fn rehash(m: &mut Machine, table: &ChainTable, new_buckets: usize) -> ChainT
 
 /// Convenience: the multiset of all stored keys (sorted), for differential
 /// tests against the scalar baseline.
+///
+/// # Panics
+/// Panics if a chain has a cycle or a pointer outside the arena.
 pub fn all_keys(m: &Machine, table: &ChainTable) -> Vec<Word> {
-    let mut keys: Vec<Word> = table.chains(m).into_iter().flatten().collect();
-    keys.sort_unstable();
-    keys
+    checked_all_keys(m, table).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fol_vm::{ConflictPolicy, CostModel};
+    use fol_vm::{ConflictPolicy, CostModel, OpKind};
 
     #[test]
     fn fig7_walkthrough() {
@@ -684,16 +621,21 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_matches_infallible_on_healthy_hardware() {
+    fn guarded_stream_matches_paper_stream_on_healthy_hardware() {
+        // Same rounds and contents; the guarded stream's only extra charge
+        // is one survivor-count reduction per round.
         let keys: Vec<Word> = (0..40).map(|i| i * 7 + 1).collect();
         let mut m1 = Machine::new(CostModel::unit());
         let mut t1 = ChainTable::alloc(&mut m1, 11, 48);
         let r1 = vectorized_insert_all(&mut m1, &mut t1, &keys);
         let mut m2 = Machine::new(CostModel::unit());
         let mut t2 = ChainTable::alloc(&mut m2, 11, 48);
-        let r2 = try_vectorized_insert_all(&mut m2, &mut t2, &keys).expect("no faults");
+        let r2 = insert_kernel(&mut m2, &mut t2, &keys, true).expect("no faults");
         assert_eq!(r1, r2);
         assert_eq!(all_keys(&m1, &t1), all_keys(&m2, &t2));
+        let reduces = |m: &Machine| m.stats().count(OpKind::VReduce);
+        assert_eq!(reduces(&m1), 0);
+        assert_eq!(reduces(&m2), r2 as u64);
     }
 
     #[test]
@@ -705,7 +647,7 @@ mod tests {
         let mut m = Machine::new(CostModel::unit());
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(3, 65535)));
         let mut t = ChainTable::alloc(&mut m, 7, 16);
-        let err = try_vectorized_insert_all(&mut m, &mut t, &[1, 2, 3, 8]).unwrap_err();
+        let err = insert_kernel(&mut m, &mut t, &[1, 2, 3, 8], true).unwrap_err();
         assert!(matches!(
             err,
             FolError::NoSurvivors { .. } | FolError::RoundBudgetExceeded { .. }

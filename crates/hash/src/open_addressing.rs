@@ -12,13 +12,13 @@
 use crate::{hash_mod, ProbeStrategy, UNENTERED};
 use fol_core::error::FolError;
 use fol_core::recover::{
-    run_transaction, split_retry, with_lane_mask, ExecMode, GroupError, RecoveryError,
+    run_coalesced_groups, run_transaction, with_lane_mask, ExecMode, GroupError, RecoveryError,
     RecoveryReport, RetryPolicy,
 };
 use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
 
 /// Outcome of a multiple-hashing run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InsertReport {
     /// Number of overwrite-and-check iterations (scalar baseline reports 0).
     pub iterations: usize,
@@ -109,13 +109,35 @@ pub fn vectorized_insert_all(
     keys: &[Word],
     probe: ProbeStrategy,
 ) -> InsertReport {
+    let budget = default_budget(table, keys);
+    insert_kernel(m, table, keys, probe, budget, false).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The overwrite-and-check loop (Fig 8) behind both
+/// [`vectorized_insert_all`] and [`txn_insert_all`], with the outer retry
+/// loop bounded by `max_iterations`. Under ELS every iteration makes
+/// progress (at least one key reads itself back, Theorem 1) and chains are
+/// no longer than the table, so a healthy run never trips a budget of
+/// `2 * table.len() + keys.len()`; a persistently faulty scatter path
+/// (dropped lanes that unwrite every entry) returns
+/// [`FolError::RoundBudgetExceeded`] instead of spinning forever.
+///
+/// Every probe scatter is registered with the ELS auditor (free when it is
+/// off). `guarded` selects the supervised stream, which leaves out the
+/// paper stream's `countTrue`: it is charged only for parity with Fig 8's
+/// listing, and the loop never reads it.
+fn insert_kernel(
+    m: &mut Machine,
+    table: Region,
+    keys: &[Word],
+    probe: ProbeStrategy,
+    max_iterations: usize,
+    guarded: bool,
+) -> Result<InsertReport, FolError> {
     let size = table.len() as Word;
     validate_keys(keys, size, probe);
     if keys.is_empty() {
-        return InsertReport {
-            iterations: 0,
-            probes: 0,
-        };
+        return Ok(InsertReport::default());
     }
 
     // hashedValue[1:n] := hash(key[1:n])
@@ -125,75 +147,6 @@ pub fn vectorized_insert_all(
     let mut probes = 0u64;
 
     // First entry: where table[hv] = unentered do table[hv] := key.
-    let slots = m.gather(table, &hv);
-    let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
-    m.scatter_masked(table, &hv, &key_v, &empty);
-    probes += key_v.len() as u64;
-
-    loop {
-        iterations += 1;
-        // entered[1:n] := key[1:n] = table[hashedValue[1:n]]
-        let readback = m.gather(table, &hv);
-        let entered = m.vcmp(CmpOp::Eq, &readback, &key_v);
-        let n_entered = m.count_true(&entered);
-        let not_entered = m.mask_not(&entered);
-        // Pack the unentered keys and their slots.
-        hv = m.compress(&hv, &not_entered);
-        key_v = m.compress(&key_v, &not_entered);
-        if key_v.is_empty() {
-            break;
-        }
-        let _ = n_entered; // counted for parity with Fig 8's countTrue
-                           // Recompute subscripts: h := (h + step) mod size.
-        hv = match probe {
-            ProbeStrategy::Linear => {
-                let inc = m.valu_s(AluOp::Add, &hv, 1);
-                m.valu_s(AluOp::Mod, &inc, size)
-            }
-            ProbeStrategy::KeyDependent => {
-                let step = m.valu_s(AluOp::And, &key_v, 31);
-                let step = m.valu_s(AluOp::Add, &step, 1);
-                let sum = m.valu(AluOp::Add, &hv, &step);
-                m.valu_s(AluOp::Mod, &sum, size)
-            }
-        };
-        // where table[hv] = unentered do table[hv] := key end where
-        let slots = m.gather(table, &hv);
-        let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
-        m.scatter_masked(table, &hv, &key_v, &empty);
-        probes += key_v.len() as u64;
-    }
-    InsertReport { iterations, probes }
-}
-
-/// Fallible vectorized insertion: [`vectorized_insert_all`] with the outer
-/// retry loop bounded by `max_iterations`. Under ELS every iteration makes
-/// progress (at least one key reads itself back, Theorem 1) and chains are
-/// no longer than the table, so a healthy run never trips a budget of
-/// `2 * table.len() + keys.len()`; a persistently faulty scatter path
-/// (dropped lanes that unwrite every entry) returns
-/// [`FolError::RoundBudgetExceeded`] instead of spinning forever.
-pub fn try_vectorized_insert_all(
-    m: &mut Machine,
-    table: Region,
-    keys: &[Word],
-    probe: ProbeStrategy,
-    max_iterations: usize,
-) -> Result<InsertReport, FolError> {
-    let size = table.len() as Word;
-    validate_keys(keys, size, probe);
-    if keys.is_empty() {
-        return Ok(InsertReport {
-            iterations: 0,
-            probes: 0,
-        });
-    }
-
-    let mut key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, size);
-    let mut iterations = 0usize;
-    let mut probes = 0u64;
-
     let slots = m.gather(table, &hv);
     let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
     audit_masked_probe_scatter(m, table, &hv, &key_v, &slots, &empty);
@@ -209,28 +162,23 @@ pub fn try_vectorized_insert_all(
             });
         }
         iterations += 1;
+        // entered[1:n] := key[1:n] = table[hashedValue[1:n]]
         let readback = m.gather(table, &hv);
         m.audit_check_gather(table, &hv, &readback)
             .map_err(FolError::from)?;
         let entered = m.vcmp(CmpOp::Eq, &readback, &key_v);
+        if !guarded {
+            m.count_true(&entered);
+        }
+        // Pack the unentered keys and their slots.
         let not_entered = m.mask_not(&entered);
         hv = m.compress(&hv, &not_entered);
         key_v = m.compress(&key_v, &not_entered);
         if key_v.is_empty() {
             break;
         }
-        hv = match probe {
-            ProbeStrategy::Linear => {
-                let inc = m.valu_s(AluOp::Add, &hv, 1);
-                m.valu_s(AluOp::Mod, &inc, size)
-            }
-            ProbeStrategy::KeyDependent => {
-                let step = m.valu_s(AluOp::And, &key_v, 31);
-                let step = m.valu_s(AluOp::Add, &step, 1);
-                let sum = m.valu(AluOp::Add, &hv, &step);
-                m.valu_s(AluOp::Mod, &sum, size)
-            }
-        };
+        hv = next_probe(m, &hv, &key_v, probe, size);
+        // where table[hv] = unentered do table[hv] := key end where
         let slots = m.gather(table, &hv);
         let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
         audit_masked_probe_scatter(m, table, &hv, &key_v, &slots, &empty);
@@ -238,6 +186,29 @@ pub fn try_vectorized_insert_all(
         probes += key_v.len() as u64;
     }
     Ok(InsertReport { iterations, probes })
+}
+
+/// Recomputes every live key's slot one probe step on: `h := (h + step)
+/// mod size`, with `step` 1 (linear) or `(key & 31) + 1` (key-dependent).
+fn next_probe(
+    m: &mut Machine,
+    hv: &fol_vm::VReg,
+    key_v: &fol_vm::VReg,
+    probe: ProbeStrategy,
+    size: Word,
+) -> fol_vm::VReg {
+    match probe {
+        ProbeStrategy::Linear => {
+            let inc = m.valu_s(AluOp::Add, hv, 1);
+            m.valu_s(AluOp::Mod, &inc, size)
+        }
+        ProbeStrategy::KeyDependent => {
+            let step = m.valu_s(AluOp::And, key_v, 31);
+            let step = m.valu_s(AluOp::Add, &step, 1);
+            let sum = m.valu(AluOp::Add, hv, &step);
+            m.valu_s(AluOp::Mod, &sum, size)
+        }
+    }
 }
 
 /// Registers one masked probe scatter with the machine's ELS auditor. An
@@ -303,27 +274,21 @@ pub fn txn_insert_all(
 
     run_transaction(m, policy, |m, mode| {
         let report = match mode {
-            ExecMode::Vector => try_vectorized_insert_all(m, table, keys, probe, budget)?,
+            ExecMode::Vector => insert_kernel(m, table, keys, probe, budget, true)?,
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
                 with_lane_mask(m, quarantined, |m| {
-                    try_vectorized_insert_all(m, table, keys, probe, budget)
+                    insert_kernel(m, table, keys, probe, budget, true)
                 })?
             }
             ExecMode::ForcedSequential => {
-                let mut iterations = 0usize;
-                let mut probes = 0u64;
+                let mut report = InsertReport::default();
                 for key in keys {
-                    let r = try_vectorized_insert_all(
-                        m,
-                        table,
-                        std::slice::from_ref(key),
-                        probe,
-                        budget,
-                    )?;
-                    iterations += r.iterations;
-                    probes += r.probes;
+                    let r =
+                        insert_kernel(m, table, std::slice::from_ref(key), probe, budget, true)?;
+                    report.iterations += r.iterations;
+                    report.probes += r.probes;
                 }
-                InsertReport { iterations, probes }
+                report
             }
             ExecMode::ScalarTail => scalar_insert_all(m, table, keys, probe),
         };
@@ -338,15 +303,16 @@ pub fn txn_insert_all(
 }
 
 /// The admission verdict for one group against the batch assembled so far;
-/// `None` admits. Everything here is host-visible arithmetic — no machine
-/// state is touched, so a rejected group costs nothing.
+/// `None` admits the group and adds it to `planned` and `batch_keys`.
+/// Everything here is host-visible arithmetic — no machine state is
+/// touched, so a rejected group costs nothing.
 fn group_admission_verdict(
     group: &[Word],
-    planned: usize,
+    planned: &mut usize,
     free: usize,
-    batch_keys: &std::collections::HashSet<Word>,
+    batch_keys: &mut std::collections::HashSet<Word>,
 ) -> Option<String> {
-    if planned + group.len() > free {
+    if *planned + group.len() > free {
         return Some(format!(
             "table full: group of {} keys, {planned} of {free} free slots already planned",
             group.len()
@@ -368,25 +334,25 @@ fn group_admission_verdict(
             ));
         }
     }
+    *planned += group.len();
+    batch_keys.extend(local);
     None
 }
 
-/// Coalesced multi-request insertion with per-group outcomes: each element
-/// of `groups` is one caller's independent key batch, and the whole admitted
-/// set enters by **one** [`txn_insert_all`] transaction over the
-/// concatenated keys.
+/// Coalesced multi-request insertion with per-group outcomes: the admitted
+/// groups enter by **one** [`txn_insert_all`] transaction over their
+/// concatenated keys, and bisection isolates a failing group
+/// ([`run_coalesced_groups`]).
 ///
-/// Admission is greedy and host-side: a group is refused typed
-/// ([`GroupError::Rejected`]) — before any transaction opens — when it holds
-/// a negative or internally-duplicated key, collides with a key already
-/// admitted from a sibling group (keys are labels; the distinctness contract
-/// is per coalesced vector), or would overflow the table's free slots.
-/// What admission deliberately does *not* check is the machine-resident
-/// table: a group re-inserting an already-stored key passes admission, fails
-/// its transaction's post-condition at runtime, and is isolated by
-/// [`split_retry`] bisection — the adversarial-key case the chaos suite
-/// exercises. A single such group costs `O(log n)` extra transactions and
-/// cannot poison its siblings.
+/// Admission refuses a group typed ([`GroupError::Rejected`]) — before any
+/// transaction opens — when it holds a negative or internally-duplicated
+/// key, collides with a key already admitted from a sibling group (keys are
+/// labels; the distinctness contract is per coalesced vector), or would
+/// overflow the table's free slots. What admission deliberately does *not*
+/// check is the machine-resident table: a group re-inserting an
+/// already-stored key passes admission, fails its transaction's
+/// post-condition at runtime, and is isolated by bisection — the
+/// adversarial-key case the chaos suite exercises.
 ///
 /// Returns one outcome per input group, in order; an `Ok` carries the
 /// [`InsertReport`] of the (possibly shared) transaction that landed the
@@ -402,44 +368,20 @@ pub fn txn_insert_groups(
     probe: ProbeStrategy,
     policy: &RetryPolicy,
 ) -> Vec<Result<InsertReport, GroupError>> {
-    let size = table.len() as Word;
-    assert!(size > 0, "empty table");
-    if probe == ProbeStrategy::KeyDependent {
-        assert!(size > 32, "key-dependent probing requires size(table) > 32");
-    }
+    validate_keys(&[], table.len() as Word, probe);
     let free = m
         .mem()
         .read_region(table)
         .iter()
         .filter(|&&w| w == UNENTERED)
         .count();
-    let mut admitted: Vec<usize> = Vec::new();
     let mut batch_keys = std::collections::HashSet::new();
     let mut planned = 0usize;
-    let mut out: Vec<Option<Result<InsertReport, GroupError>>> = vec![None; groups.len()];
-    for (i, g) in groups.iter().enumerate() {
-        match group_admission_verdict(g, planned, free, &batch_keys) {
-            Some(reason) => out[i] = Some(Err(GroupError::Rejected { reason })),
-            None => {
-                planned += g.len();
-                batch_keys.extend(g.iter().copied());
-                admitted.push(i);
-            }
-        }
-    }
-    let results = split_retry(&admitted, &mut |idxs: &[usize]| {
-        let keys: Vec<Word> = idxs
-            .iter()
-            .flat_map(|&i| groups[i].iter().copied())
-            .collect();
-        txn_insert_all(m, table, &keys, probe, policy).map(|(report, _)| report)
-    });
-    for (&slot, r) in admitted.iter().zip(results) {
-        out[slot] = Some(r.map_err(GroupError::from));
-    }
-    out.into_iter()
-        .map(|o| o.expect("every group has an outcome"))
-        .collect()
+    run_coalesced_groups(
+        groups,
+        |g| group_admission_verdict(g, &mut planned, free, &mut batch_keys),
+        |keys| txn_insert_all(m, table, keys, probe, policy).map(|(report, _)| report),
+    )
 }
 
 /// Tombstone marking a deleted slot: occupied for probing purposes (lookups
@@ -458,6 +400,37 @@ pub fn vectorized_lookup_all(
     keys: &[Word],
     probe: ProbeStrategy,
 ) -> Vec<bool> {
+    probe_walk(m, table, keys, probe, |_, _, _| {})
+}
+
+/// Vectorized multiple deletion: locate each key with the lock-step walk
+/// and scatter [`TOMBSTONE`] over the hits. Distinct keys occupy distinct
+/// slots, so the scatter is conflict-free and no FOL pass is needed.
+/// Returns one bool per key: whether it was present (and is now deleted).
+pub fn vectorized_delete_all(
+    m: &mut Machine,
+    table: Region,
+    keys: &[Word],
+    probe: ProbeStrategy,
+) -> Vec<bool> {
+    probe_walk(m, table, keys, probe, |m, hv, hit| {
+        let hit_slots = m.compress(hv, hit);
+        let stones = m.vsplat(TOMBSTONE, hit_slots.len());
+        m.scatter(table, &hit_slots, &stones);
+    })
+}
+
+/// The lock-step probe walk behind lookup and deletion: every key follows
+/// its probe chain until it hits itself (found) or an `unentered` slot
+/// (absent). Each step hands the live keys' slots and their hit mask to
+/// `on_hits` before the hits retire.
+fn probe_walk(
+    m: &mut Machine,
+    table: Region,
+    keys: &[Word],
+    probe: ProbeStrategy,
+    mut on_hits: impl FnMut(&mut Machine, &fol_vm::VReg, &fol_vm::Mask),
+) -> Vec<bool> {
     let size = table.len() as Word;
     assert!(size > 0, "empty table");
     if keys.is_empty() {
@@ -475,6 +448,7 @@ pub fn vectorized_lookup_all(
         }
         let slots = m.gather(table, &hv);
         let hit = m.vcmp(CmpOp::Eq, &slots, &key_v);
+        on_hits(m, &hv, &hit);
         let miss = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
         for (i, f) in hit.iter().enumerate() {
             if f {
@@ -490,81 +464,9 @@ pub fn vectorized_lookup_all(
             break;
         }
         // Advance the survivors' probes.
-        hv = match probe {
-            ProbeStrategy::Linear => {
-                let inc = m.valu_s(AluOp::Add, &hv, 1);
-                m.valu_s(AluOp::Mod, &inc, size)
-            }
-            ProbeStrategy::KeyDependent => {
-                let step = m.valu_s(AluOp::And, &key_v, 31);
-                let step = m.valu_s(AluOp::Add, &step, 1);
-                let sum = m.valu(AluOp::Add, &hv, &step);
-                m.valu_s(AluOp::Mod, &sum, size)
-            }
-        };
+        hv = next_probe(m, &hv, &key_v, probe, size);
     }
     found
-}
-
-/// Vectorized multiple deletion: locate each key with the lock-step walk
-/// and scatter [`TOMBSTONE`] over the hits. Distinct keys occupy distinct
-/// slots, so the scatter is conflict-free and no FOL pass is needed.
-/// Returns one bool per key: whether it was present (and is now deleted).
-pub fn vectorized_delete_all(
-    m: &mut Machine,
-    table: Region,
-    keys: &[Word],
-    probe: ProbeStrategy,
-) -> Vec<bool> {
-    let size = table.len() as Word;
-    assert!(size > 0, "empty table");
-    if keys.is_empty() {
-        return Vec::new();
-    }
-    let n = keys.len();
-    let mut deleted = vec![false; n];
-    let mut key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, size);
-    let mut positions = m.iota(0, n);
-
-    for _ in 0..table.len() {
-        if key_v.is_empty() {
-            break;
-        }
-        let slots = m.gather(table, &hv);
-        let hit = m.vcmp(CmpOp::Eq, &slots, &key_v);
-        // Tombstone the hits (conflict-free: keys are distinct).
-        let hit_slots = m.compress(&hv, &hit);
-        let stones = m.vsplat(TOMBSTONE, hit_slots.len());
-        m.scatter(table, &hit_slots, &stones);
-        let miss = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
-        for (i, f) in hit.iter().enumerate() {
-            if f {
-                deleted[positions.get(i) as usize] = true;
-            }
-        }
-        let resolved = m.mask_or(&hit, &miss);
-        let active = m.mask_not(&resolved);
-        key_v = m.compress(&key_v, &active);
-        hv = m.compress(&hv, &active);
-        positions = m.compress(&positions, &active);
-        if key_v.is_empty() {
-            break;
-        }
-        hv = match probe {
-            ProbeStrategy::Linear => {
-                let inc = m.valu_s(AluOp::Add, &hv, 1);
-                m.valu_s(AluOp::Mod, &inc, size)
-            }
-            ProbeStrategy::KeyDependent => {
-                let step = m.valu_s(AluOp::And, &key_v, 31);
-                let step = m.valu_s(AluOp::Add, &step, 1);
-                let sum = m.valu(AluOp::Add, &hv, &step);
-                m.valu_s(AluOp::Mod, &sum, size)
-            }
-        };
-    }
-    deleted
 }
 
 /// Follows `key`'s probe chain in a table snapshot; true when present.
@@ -819,7 +721,9 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_matches_infallible_on_healthy_hardware() {
+    fn guarded_stream_matches_paper_stream_on_healthy_hardware() {
+        // Same report and table; only the paper stream charges Fig 8's
+        // per-iteration countTrue.
         let keys: Vec<Word> = (0..40).map(|i| i * 13 + 1).collect();
         let mut m1 = machine();
         let t1 = m1.alloc(101, "table");
@@ -828,10 +732,13 @@ mod tests {
         let mut m2 = machine();
         let t2 = m2.alloc(101, "table");
         init_table(&mut m2, t2);
-        let r2 = try_vectorized_insert_all(&mut m2, t2, &keys, ProbeStrategy::KeyDependent, 300)
+        let r2 = insert_kernel(&mut m2, t2, &keys, ProbeStrategy::KeyDependent, 300, true)
             .expect("no faults");
         assert_eq!(r1, r2);
         assert_eq!(m1.mem().read_region(t1), m2.mem().read_region(t2));
+        let reduces = |m: &Machine| m.stats().count(fol_vm::OpKind::VReduce);
+        assert_eq!(reduces(&m1), r1.iterations as u64);
+        assert_eq!(reduces(&m2), 0);
     }
 
     #[test]
@@ -842,8 +749,8 @@ mod tests {
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(7, 65535)));
         let t = m.alloc(37, "table");
         init_table(&mut m, t);
-        let err = try_vectorized_insert_all(&mut m, t, &[1, 2, 3], ProbeStrategy::Linear, 20)
-            .unwrap_err();
+        let err =
+            insert_kernel(&mut m, t, &[1, 2, 3], ProbeStrategy::Linear, 20, true).unwrap_err();
         assert!(matches!(
             err,
             FolError::RoundBudgetExceeded {

@@ -16,12 +16,13 @@
 //!   `cum[key] - 1` and decrement `cum[key]`.
 
 use crate::validate_range;
-use fol_core::error::FolError;
+use fol_core::error::{FolError, Validation};
 use fol_core::recover::{
     decompose_with_mode, run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport,
     RetryPolicy,
 };
-use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
+use fol_core::Decomposition;
+use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
 
 /// Statistics from a distribution counting sort run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -87,264 +88,198 @@ pub fn scalar_sort(m: &mut Machine, a: Region, range: Word) -> DistReport {
 }
 
 /// Vectorized distribution counting sort: FOL histogram + recurrence
-/// cumulative sum + FOL permutation. Sorts `a` in place.
+/// cumulative sum + FOL permutation. Sorts `a` in place. Each phase is
+/// recorded with [`Machine::measure_phase`].
+///
+/// # Panics
+/// Panics if a key lies outside `[0, range)`.
 pub fn vectorized_sort(m: &mut Machine, a: Region, range: Word) -> DistReport {
+    sort_kernel(m, a, range, Stream::Paper).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Typed bounds check: every value must lie in `[0, domain)` — keys against
+/// the range (for the count/work scatters to be in bounds), claimed output
+/// slots against the output length.
+fn check_domain(
+    values: impl IntoIterator<Item = Word>,
+    domain: Word,
+    round: Option<usize>,
+) -> Result<(), FolError> {
+    match values
+        .into_iter()
+        .enumerate()
+        .find(|&(_, v)| !(0..domain).contains(&v))
+    {
+        Some((position, target)) => Err(FolError::TargetOutOfBounds {
+            round,
+            position,
+            target,
+            domain: domain as usize,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Which instruction stream [`sort_kernel`] issues.
+#[derive(Clone, Copy)]
+enum Stream {
+    /// The paper's: survivors counted on the host, each phase recorded with
+    /// [`Machine::measure_phase`], so Table 1's modelled cost is unchanged.
+    Paper,
+    /// The supervised vector rungs': survivor counts charged as vector
+    /// reductions, and no phases recorded (a transaction would grow
+    /// [`Machine::phases`] on every call).
+    Guarded,
+    /// The `ForcedSequential` rung's: one decomposition from
+    /// [`decompose_with_mode`] up front, reused by both phases (histogram
+    /// and permutation target the same `count` cells). Under
+    /// `ForcedSequential` its label scatters are tear-immune singletons.
+    Decomposed(ExecMode, Validation),
+}
+
+/// The three-phase sort behind both [`vectorized_sort`] and [`txn_sort`]:
+/// a typed range check, both FOL phases bounded by `n` rounds (the maximum
+/// multiplicity cannot exceed `n`, Theorem 6), every detection pass checked
+/// for a survivor, and the permutation's claimed output slots bounds-checked
+/// before the scatter — a torn counter would otherwise send the output
+/// scatter out of bounds. Scratch regions (`count`, `work`, `out`) are
+/// freshly allocated per call. Sorting nothing returns at once and costs
+/// nothing.
+fn sort_kernel(
+    m: &mut Machine,
+    a: Region,
+    range: Word,
+    stream: Stream,
+) -> Result<DistReport, FolError> {
     let n = a.len();
-    let data_check = m.mem().read_region(a);
-    validate_range(&data_check, range);
+    let data = m.mem().read_region(a);
+    check_domain(data.iter().copied(), range, None)?;
+    if n == 0 {
+        return Ok(DistReport::default());
+    }
     let r = range as usize;
     let count = m.alloc(r, "dist.count");
     let work = m.alloc(r, "dist.work");
     let out = m.alloc(n, "dist.out");
     m.vfill(count, 0);
 
-    let av = m.vload(a, 0, n);
-    let mut report = DistReport::default();
-
-    // Phase 1: histogram via FOL1 rounds.
-    let mut histogram_rounds = 0usize;
-    m.measure_phase("dist_count.histogram", |m| {
-        let mut keys = av.clone();
-        let mut labels = m.iota(0, n);
-        while !keys.is_empty() {
-            histogram_rounds += 1;
-            m.scatter(work, &keys, &labels);
-            let got = m.gather(work, &keys);
-            let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-            // Survivors increment their counters (conflict-free).
-            let k_s = m.compress(&keys, &ok);
-            let c_s = m.gather(count, &k_s);
-            let c_s = m.valu_s(AluOp::Add, &c_s, 1);
-            m.scatter(count, &k_s, &c_s);
-            let rest = m.mask_not(&ok);
-            keys = m.compress(&keys, &rest);
-            labels = m.compress(&labels, &rest);
+    // The vector streams load the keys; the decomposed stream picks each
+    // round's keys on the host from the data its decomposition read.
+    let (keys, fixed) = match stream {
+        Stream::Decomposed(mode, validation) => {
+            let d = decompose_with_mode(m, work, &data, mode, validation)?;
+            (data.into_iter().collect(), Some(d))
         }
-    });
-    report.histogram_rounds = histogram_rounds;
+        _ => (m.vload(a, 0, n), None),
+    };
+    let guarded = !matches!(stream, Stream::Paper);
+    let phase = |m: &mut Machine, name: &str, f: &mut dyn FnMut(&mut Machine) -> _| {
+        if guarded {
+            f(m)
+        } else {
+            m.measure_phase(name, f)
+        }
+    };
+
+    // Phase 1: histogram via FOL1 rounds; survivors increment their
+    // counters (conflict-free).
+    let histogram_rounds = phase(m, "dist_count.histogram", &mut |m| {
+        fol_rounds(m, work, &keys, fixed.as_ref(), guarded, |m, k_s, _| {
+            let c_s = m.gather(count, k_s);
+            let c_s = m.valu_s(AluOp::Add, &c_s, 1);
+            m.scatter(count, k_s, &c_s);
+            Ok(())
+        })
+    })?;
 
     // Phase 2: cumulative counts with the recurrence macro instruction.
-    m.measure_phase("dist_count.prefix", |m| {
+    phase(m, "dist_count.prefix", &mut |m| {
         let counts = m.vload(count, 0, r);
         let cum = m.vprefix_sum(&counts);
         m.vstore(count, 0, &cum);
-    });
+        Ok(0)
+    })?;
 
-    // Phase 3: permutation via FOL1 rounds.
-    let mut permute_rounds = 0usize;
-    m.measure_phase("dist_count.permute", |m| {
-        let mut keys = av;
-        let mut labels = m.iota(0, n);
-        while !keys.is_empty() {
-            permute_rounds += 1;
-            m.scatter(work, &keys, &labels);
-            let got = m.gather(work, &keys);
-            let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-            let k_s = m.compress(&keys, &ok);
-            let pos = m.gather(count, &k_s);
+    // Phase 3: permutation via FOL1 rounds; survivors claim output slot
+    // `cum[key] - 1` and decrement their counter.
+    let permute_rounds = phase(m, "dist_count.permute", &mut |m| {
+        fol_rounds(m, work, &keys, fixed.as_ref(), guarded, |m, k_s, round| {
+            let pos = m.gather(count, k_s);
             let pos = m.valu_s(AluOp::Sub, &pos, 1);
-            m.scatter(out, &pos, &k_s);
-            m.scatter(count, &k_s, &pos);
-            let rest = m.mask_not(&ok);
-            keys = m.compress(&keys, &rest);
-            labels = m.compress(&labels, &rest);
-        }
-    });
-    report.permute_rounds = permute_rounds;
+            // A counter mangled by a torn write could claim a slot outside
+            // the output — catch it as a typed error, not a scatter panic.
+            check_domain(pos.iter(), n as Word, Some(round))?;
+            m.scatter(out, &pos, k_s);
+            m.scatter(count, k_s, &pos);
+            Ok(())
+        })
+    })?;
 
     // Copy the permuted data back into `a`.
     let sorted = m.vload(out, 0, n);
     m.vstore(a, 0, &sorted);
-    report
-}
-
-/// Typed version of the range precondition: every key must lie in
-/// `[0, range)` for the count/work scatters to be in bounds.
-fn check_range(data: &[Word], range: Word) -> Result<(), FolError> {
-    for (j, &v) in data.iter().enumerate() {
-        if !(0..range).contains(&v) {
-            return Err(FolError::TargetOutOfBounds {
-                round: None,
-                position: j,
-                target: v,
-                domain: range as usize,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Fallible vectorized distribution counting sort: [`vectorized_sort`]
-/// with a typed range check, both FOL phases bounded by `n` rounds (the
-/// maximum multiplicity cannot exceed `n`, Theorem 6), every detection
-/// pass checked for a survivor, and the permutation's claimed output slots
-/// bounds-checked before the scatter — a torn counter would otherwise send
-/// the output scatter out of bounds. Scratch regions (`count`, `work`,
-/// `out`) are freshly allocated per call.
-pub fn try_vectorized_sort(
-    m: &mut Machine,
-    a: Region,
-    range: Word,
-) -> Result<DistReport, FolError> {
-    let n = a.len();
-    let data_check = m.mem().read_region(a);
-    check_range(&data_check, range)?;
-    if n == 0 {
-        return Ok(DistReport::default());
-    }
-    let r = range as usize;
-    let count = m.alloc(r, "dist.count");
-    let work = m.alloc(r, "dist.work");
-    let out = m.alloc(n, "dist.out");
-    m.vfill(count, 0);
-
-    let av = m.vload(a, 0, n);
-    let mut report = DistReport::default();
-
-    // Phase 1: histogram via FOL1 rounds.
-    let mut keys = av.clone();
-    let mut labels = m.iota(0, n);
-    while !keys.is_empty() {
-        if report.histogram_rounds == n {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: n,
-                live: keys.len(),
-                completed_rounds: report.histogram_rounds,
-            });
-        }
-        report.histogram_rounds += 1;
-        m.scatter(work, &keys, &labels);
-        let got = m.gather(work, &keys);
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        if m.count_true(&ok) == 0 {
-            return Err(FolError::NoSurvivors {
-                iteration: report.histogram_rounds - 1,
-                live: keys.len(),
-            });
-        }
-        let k_s = m.compress(&keys, &ok);
-        let c_s = m.gather(count, &k_s);
-        let c_s = m.valu_s(AluOp::Add, &c_s, 1);
-        m.scatter(count, &k_s, &c_s);
-        let rest = m.mask_not(&ok);
-        keys = m.compress(&keys, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-
-    // Phase 2: cumulative counts.
-    let counts = m.vload(count, 0, r);
-    let cum = m.vprefix_sum(&counts);
-    m.vstore(count, 0, &cum);
-
-    // Phase 3: permutation via FOL1 rounds.
-    let mut keys = av;
-    let mut labels = m.iota(0, n);
-    while !keys.is_empty() {
-        if report.permute_rounds == n {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: n,
-                live: keys.len(),
-                completed_rounds: report.permute_rounds,
-            });
-        }
-        report.permute_rounds += 1;
-        m.scatter(work, &keys, &labels);
-        let got = m.gather(work, &keys);
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        if m.count_true(&ok) == 0 {
-            return Err(FolError::NoSurvivors {
-                iteration: report.permute_rounds - 1,
-                live: keys.len(),
-            });
-        }
-        let k_s = m.compress(&keys, &ok);
-        let pos = m.gather(count, &k_s);
-        let pos = m.valu_s(AluOp::Sub, &pos, 1);
-        // A counter mangled by a torn write could claim a slot outside the
-        // output — catch it as a typed error, not a scatter panic.
-        for (i, p) in pos.iter().enumerate() {
-            if !(0..n as Word).contains(&p) {
-                return Err(FolError::TargetOutOfBounds {
-                    round: Some(report.permute_rounds - 1),
-                    position: i,
-                    target: p,
-                    domain: n,
-                });
-            }
-        }
-        m.scatter(out, &pos, &k_s);
-        m.scatter(count, &k_s, &pos);
-        let rest = m.mask_not(&ok);
-        keys = m.compress(&keys, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-
-    let sorted = m.vload(out, 0, n);
-    m.vstore(a, 0, &sorted);
-    Ok(report)
-}
-
-/// Distribution counting sort over an explicit decomposition from
-/// [`decompose_with_mode`]: both FOL phases reuse one decomposition of the
-/// keys (histogram and permutation target the same `count` cells), and the
-/// per-round payload work is conflict-free. Under `ForcedSequential` the
-/// label scatters are tear-immune singletons.
-fn sort_via_decomposition(
-    m: &mut Machine,
-    a: Region,
-    range: Word,
-    mode: ExecMode,
-    validation: fol_core::error::Validation,
-) -> Result<DistReport, FolError> {
-    let n = a.len();
-    let data = m.mem().read_region(a);
-    check_range(&data, range)?;
-    if n == 0 {
-        return Ok(DistReport::default());
-    }
-    let r = range as usize;
-    let count = m.alloc(r, "dist.count");
-    let work = m.alloc(r, "dist.work");
-    let out = m.alloc(n, "dist.out");
-    m.vfill(count, 0);
-
-    let d = decompose_with_mode(m, work, &data, mode, validation)?;
-
-    for round in d.iter() {
-        let k_s: fol_vm::VReg = round.iter().map(|&p| data[p]).collect();
-        let c_s = m.gather(count, &k_s);
-        let c_s = m.valu_s(AluOp::Add, &c_s, 1);
-        m.scatter(count, &k_s, &c_s);
-    }
-
-    let counts = m.vload(count, 0, r);
-    let cum = m.vprefix_sum(&counts);
-    m.vstore(count, 0, &cum);
-
-    for round in d.iter() {
-        let k_s: fol_vm::VReg = round.iter().map(|&p| data[p]).collect();
-        let pos = m.gather(count, &k_s);
-        let pos = m.valu_s(AluOp::Sub, &pos, 1);
-        for (i, p) in pos.iter().enumerate() {
-            if !(0..n as Word).contains(&p) {
-                return Err(FolError::TargetOutOfBounds {
-                    round: None,
-                    position: i,
-                    target: p,
-                    domain: n,
-                });
-            }
-        }
-        m.scatter(out, &pos, &k_s);
-        m.scatter(count, &k_s, &pos);
-    }
-
-    let sorted = m.vload(out, 0, n);
-    m.vstore(a, 0, &sorted);
     Ok(DistReport {
-        histogram_rounds: d.num_rounds(),
-        permute_rounds: d.num_rounds(),
+        histogram_rounds,
+        permute_rounds,
     })
+}
+
+/// One FOL1 pass over `keys`: per round, the survivors (one per distinct
+/// key) run `main` conflict-free with the round index. With a `fixed`
+/// decomposition the rounds are read from it; otherwise they are detected
+/// on the fly with subscript labels in `work`, bounded by `keys.len()`
+/// rounds, and a round without survivors is a typed error. `guarded`
+/// charges the survivor count as a vector reduction; otherwise it is
+/// counted on the host. Returns the number of rounds.
+fn fol_rounds(
+    m: &mut Machine,
+    work: Region,
+    keys: &VReg,
+    fixed: Option<&Decomposition>,
+    guarded: bool,
+    mut main: impl FnMut(&mut Machine, &VReg, usize) -> Result<(), FolError>,
+) -> Result<usize, FolError> {
+    if let Some(d) = fixed {
+        for (k, round) in d.iter().enumerate() {
+            let k_s: VReg = round.iter().map(|&p| keys.get(p)).collect();
+            main(m, &k_s, k)?;
+        }
+        return Ok(d.num_rounds());
+    }
+    let n = keys.len();
+    let mut keys = keys.clone();
+    let mut labels = m.iota(0, n);
+    let mut rounds = 0usize;
+    while !keys.is_empty() {
+        if rounds == n {
+            return Err(FolError::RoundBudgetExceeded {
+                budget: n,
+                live: keys.len(),
+                completed_rounds: rounds,
+            });
+        }
+        m.scatter(work, &keys, &labels);
+        let got = m.gather(work, &keys);
+        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
+        let survivors = if guarded {
+            m.count_true(&ok)
+        } else {
+            ok.popcount()
+        };
+        if survivors == 0 {
+            return Err(FolError::NoSurvivors {
+                iteration: rounds,
+                live: keys.len(),
+            });
+        }
+        let k_s = m.compress(&keys, &ok);
+        main(m, &k_s, rounds)?;
+        let rest = m.mask_not(&ok);
+        keys = m.compress(&keys, &rest);
+        labels = m.compress(&labels, &rest);
+        rounds += 1;
+    }
+    Ok(rounds)
 }
 
 /// Transactional distribution counting sort: every attempt runs inside a
@@ -374,14 +309,18 @@ pub fn txn_sort(
 
     run_transaction(m, policy, |m, mode| {
         let report = match mode {
-            ExecMode::Vector => try_vectorized_sort(m, a, range)?,
+            ExecMode::Vector => sort_kernel(m, a, range, Stream::Guarded)?,
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
-                with_lane_mask(m, quarantined, |m| try_vectorized_sort(m, a, range))?
+                with_lane_mask(m, quarantined, |m| {
+                    sort_kernel(m, a, range, Stream::Guarded)
+                })?
             }
-            ExecMode::ForcedSequential => sort_via_decomposition(m, a, range, mode, validation)?,
+            ExecMode::ForcedSequential => {
+                sort_kernel(m, a, range, Stream::Decomposed(mode, validation))?
+            }
             ExecMode::ScalarTail => {
                 let data = m.mem().read_region(a);
-                check_range(&data, range)?;
+                check_domain(data.iter().copied(), range, None)?;
                 scalar_sort(m, a, range)
             }
         };
@@ -398,7 +337,7 @@ pub fn txn_sort(
 mod tests {
     use super::*;
     use crate::is_sorted;
-    use fol_vm::{ConflictPolicy, CostModel};
+    use fol_vm::{ConflictPolicy, CostModel, OpKind};
 
     fn sort_with<F>(data: &[Word], range: Word, f: F) -> Vec<Word>
     where
@@ -498,7 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn try_sort_matches_infallible_on_healthy_hardware() {
+    fn guarded_stream_matches_paper_stream_on_healthy_hardware() {
+        // Same report and output; the guarded stream charges one extra
+        // survivor-count reduction per FOL round and records no phases.
         let data = [5, 1, 4, 1, 5, 9, 2, 6, 5, 3];
         let mut m1 = Machine::new(CostModel::unit());
         let a1 = m1.alloc(data.len(), "A");
@@ -507,9 +448,35 @@ mod tests {
         let mut m2 = Machine::new(CostModel::unit());
         let a2 = m2.alloc(data.len(), "A");
         m2.mem_mut().write_region(a2, &data);
-        let r2 = try_vectorized_sort(&mut m2, a2, 10).expect("no faults");
+        let r2 = sort_kernel(&mut m2, a2, 10, Stream::Guarded).expect("no faults");
         assert_eq!(r1, r2);
         assert_eq!(m1.mem().read_region(a1), m2.mem().read_region(a2));
+        let reduces = |m: &Machine| m.stats().count(OpKind::VReduce);
+        assert_eq!(reduces(&m1), 0);
+        assert_eq!(
+            reduces(&m2),
+            (r2.histogram_rounds + r2.permute_rounds) as u64
+        );
+        assert_eq!(m1.phases().len(), 3);
+        assert!(m2.phases().is_empty());
+    }
+
+    #[test]
+    fn sorting_nothing_costs_nothing() {
+        // Both streams return before allocating scratch or issuing a single
+        // instruction.
+        for guarded in [false, true] {
+            let mut m = Machine::new(CostModel::s810());
+            let a = m.alloc(0, "A");
+            let r = if guarded {
+                sort_kernel(&mut m, a, 4, Stream::Guarded).expect("empty input")
+            } else {
+                vectorized_sort(&mut m, a, 4)
+            };
+            assert_eq!(r, DistReport::default());
+            assert_eq!(m.stats().cycles(), 0, "guarded={guarded}");
+            assert!(m.phases().is_empty());
+        }
     }
 
     #[test]
@@ -517,7 +484,7 @@ mod tests {
         let mut m = Machine::new(CostModel::unit());
         let a = m.alloc(3, "A");
         m.mem_mut().write_region(a, &[1, 7, 2]);
-        let err = try_vectorized_sort(&mut m, a, 4).unwrap_err();
+        let err = sort_kernel(&mut m, a, 4, Stream::Guarded).unwrap_err();
         assert!(matches!(
             err,
             FolError::TargetOutOfBounds {
@@ -535,7 +502,7 @@ mod tests {
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(5, 65535)));
         let a = m.alloc(6, "A");
         m.mem_mut().write_region(a, &[3, 1, 3, 0, 2, 1]);
-        let err = try_vectorized_sort(&mut m, a, 4).unwrap_err();
+        let err = sort_kernel(&mut m, a, 4, Stream::Guarded).unwrap_err();
         assert!(matches!(
             err,
             FolError::NoSurvivors { .. }

@@ -28,7 +28,7 @@
 use crate::NIL;
 use fol_core::error::FolError;
 use fol_core::recover::{
-    run_transaction, split_retry, with_lane_mask, ExecMode, GroupError, RecoveryError,
+    run_coalesced_groups, run_transaction, with_lane_mask, ExecMode, GroupError, RecoveryError,
     RecoveryReport, RetryPolicy,
 };
 use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
@@ -69,21 +69,11 @@ impl Bst {
     }
 
     /// In-order key traversal (diagnostic, no cycles charged).
+    ///
+    /// # Panics
+    /// Panics on a cycle or a link outside the allocated nodes.
     pub fn inorder(&self, m: &Machine) -> Vec<Word> {
-        let mut out = Vec::with_capacity(self.used);
-        let mut stack = Vec::new();
-        let mut cur = m.mem().read(self.links.at(0));
-        loop {
-            while cur != NIL {
-                stack.push(cur);
-                cur = m.mem().read(self.links.at(1 + 2 * cur as usize));
-            }
-            let Some(node) = stack.pop() else { break };
-            out.push(m.mem().read(self.keys.at(node as usize)));
-            cur = m.mem().read(self.links.at(2 + 2 * node as usize));
-            assert!(out.len() <= self.used, "cycle in BST");
-        }
-        out
+        checked_inorder(m, self).unwrap_or_else(|| panic!("cycle in BST"))
     }
 
     /// True when `key` is present (diagnostic walk).
@@ -170,11 +160,41 @@ pub struct BstReport {
 /// assert!(tree.contains(&m, 70));
 /// ```
 pub fn vectorized_insert_all(m: &mut Machine, tree: &mut Bst, keys: &[Word]) -> BstReport {
+    let budget = default_budget(tree, keys);
+    insert_kernel(m, tree, keys, budget, false).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The iteration budget for inserting `keys`: every key descends at most one
+/// level per iteration and loses at most one insertion attempt per level, so
+/// no healthy run comes near it.
+fn default_budget(tree: &Bst, keys: &[Word]) -> usize {
+    2 * (tree.used + keys.len()) + 4
+}
+
+/// The lock-step insertion loop behind both [`vectorized_insert_all`] and
+/// [`txn_insert_all`], bounded by `max_iterations`, with every gathered
+/// link checked to be [`NIL`] or a valid node index before anything
+/// descends through it. Under ELS neither guard can fire (every insertion
+/// round has a winner, Theorem 1, and slots only ever hold real pointers);
+/// under injected scatter faults a torn label amalgam or an orphaned label
+/// surfaces as a typed error instead of a wild gather or a livelock.
+///
+/// `guarded` charges the no-winner check's count of descending keys as a
+/// vector reduction, as the supervised stream always has; the paper stream
+/// counts on the host, so Fig 14's modelled cost is unchanged.
+fn insert_kernel(
+    m: &mut Machine,
+    tree: &mut Bst,
+    keys: &[Word],
+    max_iterations: usize,
+    guarded: bool,
+) -> Result<BstReport, FolError> {
     if keys.is_empty() {
-        return BstReport::default();
+        return Ok(BstReport::default());
     }
     let first = tree.reserve(keys.len());
     let n = keys.len();
+    let limit = (first + n) as Word; // valid node indices are 0..limit
 
     // Write the new nodes' keys (conflict-free scatter).
     let key_v = m.vimm(keys);
@@ -185,88 +205,6 @@ pub fn vectorized_insert_all(m: &mut Machine, tree: &mut Bst, keys: &[Word]) -> 
     let mut keyv = key_v;
     let mut node = idx;
     let mut cur = m.vsplat(0, n); // everyone starts at the root slot
-    let mut label = m.iota(0, n);
-    let mut report = BstReport::default();
-
-    while !keyv.is_empty() {
-        report.iterations += 1;
-        let val = m.gather(tree.links, &cur);
-        let at_nil = m.vcmp_s(CmpOp::Eq, &val, NIL);
-        let descending = m.mask_not(&at_nil);
-
-        // --- Insertion attempts (slots at NIL) ---
-        let ins_cur = m.compress(&cur, &at_nil);
-        let ins_node = m.compress(&node, &at_nil);
-        let ins_label = m.compress(&label, &at_nil);
-        let ins_key = m.compress(&keyv, &at_nil);
-        // FOL on the slot itself: scatter labels, read back, compare. The
-        // winner's label survives and is immediately overwritten with the
-        // real node pointer, so every labelled slot ends the iteration
-        // holding a valid pointer again.
-        m.scatter(tree.links, &ins_cur, &ins_label);
-        let got = m.gather(tree.links, &ins_cur);
-        let won = m.vcmp(CmpOp::Eq, &got, &ins_label);
-        let win_cur = m.compress(&ins_cur, &won);
-        let win_node = m.compress(&ins_node, &won);
-        m.scatter(tree.links, &win_cur, &win_node);
-        report.retries += (ins_cur.len() - win_cur.len()) as u64;
-        // Losers retry the same slot next iteration (it now holds the
-        // winner's node, so they will descend through it).
-        let lost = m.mask_not(&won);
-        let lose_cur = m.compress(&ins_cur, &lost);
-        let lose_node = m.compress(&ins_node, &lost);
-        let lose_label = m.compress(&ins_label, &lost);
-        let lose_key = m.compress(&ins_key, &lost);
-
-        // --- Descent steps (slots holding a node index) ---
-        // next slot = 1 + 2*child + (key >= child key ? 1 : 0)
-        let desc_val = m.compress(&val, &descending);
-        let desc_key = m.compress(&keyv, &descending);
-        let desc_node = m.compress(&node, &descending);
-        let desc_label = m.compress(&label, &descending);
-        let child_keys = m.gather(tree.keys, &desc_val);
-        let go_right = m.vcmp(CmpOp::Ge, &desc_key, &child_keys);
-        let base = m.valu_s(AluOp::Mul, &desc_val, 2);
-        let left_slot = m.valu_s(AluOp::Add, &base, 1);
-        let right_slot = m.valu_s(AluOp::Add, &base, 2);
-        let new_cur_desc = m.select(&go_right, &right_slot, &left_slot);
-
-        // --- Merge: descending keys plus insertion losers stay pending ---
-        keyv = m.vconcat(&desc_key, &lose_key);
-        node = m.vconcat(&desc_node, &lose_node);
-        cur = m.vconcat(&new_cur_desc, &lose_cur);
-        label = m.vconcat(&desc_label, &lose_label);
-    }
-    report
-}
-
-/// Fallible vectorized multiple insertion: [`vectorized_insert_all`] with
-/// the lock-step loop bounded by `max_iterations` and every gathered link
-/// checked to be [`NIL`] or a valid node index before anything descends
-/// through it. Under ELS neither guard can fire (every insertion round has
-/// a winner, Theorem 1, and slots only ever hold real pointers); under
-/// injected scatter faults a torn label amalgam or an orphaned label
-/// surfaces as a typed error instead of a wild gather or a livelock.
-pub fn try_vectorized_insert_all(
-    m: &mut Machine,
-    tree: &mut Bst,
-    keys: &[Word],
-    max_iterations: usize,
-) -> Result<BstReport, FolError> {
-    if keys.is_empty() {
-        return Ok(BstReport::default());
-    }
-    let first = tree.reserve(keys.len());
-    let n = keys.len();
-    let limit = (first + n) as Word; // valid node indices are 0..limit
-
-    let key_v = m.vimm(keys);
-    let idx = m.iota(first as Word, n);
-    m.scatter(tree.keys, &idx, &key_v);
-
-    let mut keyv = key_v;
-    let mut node = idx;
-    let mut cur = m.vsplat(0, n);
     let mut label = m.iota(0, n);
     let mut report = BstReport::default();
 
@@ -295,6 +233,7 @@ pub fn try_vectorized_insert_all(
         let at_nil = m.vcmp_s(CmpOp::Eq, &val, NIL);
         let descending = m.mask_not(&at_nil);
 
+        // --- Insertion attempts (slots at NIL) ---
         let ins_cur = m.compress(&cur, &at_nil);
         let ins_node = m.compress(&node, &at_nil);
         let ins_label = m.compress(&label, &at_nil);
@@ -310,6 +249,10 @@ pub fn try_vectorized_insert_all(
             let note_vals = m.vconcat(&ins_label, &nil_v);
             m.audit_note_scatter(tree.links, &note_idx, &note_vals);
         }
+        // FOL on the slot itself: scatter labels, read back, compare. The
+        // winner's label survives and is immediately overwritten with the
+        // real node pointer, so every labelled slot ends the iteration
+        // holding a valid pointer again.
         m.scatter(tree.links, &ins_cur, &ins_label);
         let got = m.gather(tree.links, &ins_cur);
         m.audit_check_gather(tree.links, &ins_cur, &got)
@@ -319,18 +262,29 @@ pub fn try_vectorized_insert_all(
         let win_node = m.compress(&ins_node, &won);
         m.scatter(tree.links, &win_cur, &win_node);
         report.retries += (ins_cur.len() - win_cur.len()) as u64;
-        if !ins_cur.is_empty() && win_cur.is_empty() && m.count_true(&descending) == 0 {
-            return Err(FolError::NoSurvivors {
-                iteration: report.iterations - 1,
-                live: keyv.len(),
-            });
+        if !ins_cur.is_empty() && win_cur.is_empty() {
+            let descents = if guarded {
+                m.count_true(&descending)
+            } else {
+                descending.popcount()
+            };
+            if descents == 0 {
+                return Err(FolError::NoSurvivors {
+                    iteration: report.iterations - 1,
+                    live: keyv.len(),
+                });
+            }
         }
+        // Losers retry the same slot next iteration (it now holds the
+        // winner's node, so they will descend through it).
         let lost = m.mask_not(&won);
         let lose_cur = m.compress(&ins_cur, &lost);
         let lose_node = m.compress(&ins_node, &lost);
         let lose_label = m.compress(&ins_label, &lost);
         let lose_key = m.compress(&ins_key, &lost);
 
+        // --- Descent steps (slots holding a node index) ---
+        // next slot = 1 + 2*child + (key >= child key ? 1 : 0)
         let desc_val = m.compress(&val, &descending);
         let desc_key = m.compress(&keyv, &descending);
         let desc_node = m.compress(&node, &descending);
@@ -342,6 +296,7 @@ pub fn try_vectorized_insert_all(
         let right_slot = m.valu_s(AluOp::Add, &base, 2);
         let new_cur_desc = m.select(&go_right, &right_slot, &left_slot);
 
+        // --- Merge: descending keys plus insertion losers stay pending ---
         keyv = m.vconcat(&desc_key, &lose_key);
         node = m.vconcat(&desc_node, &lose_node);
         cur = m.vconcat(&new_cur_desc, &lose_cur);
@@ -350,16 +305,21 @@ pub fn try_vectorized_insert_all(
     Ok(report)
 }
 
-/// Like [`Bst::inorder`] but refuses to panic on a corrupted tree: a wild
-/// node index or a cycle returns `None`. The transactional post-condition
-/// reader — a torn amalgam may have left an arbitrary word in a link slot.
+/// The one in-order walker behind [`Bst::inorder`]. Refuses to panic on a
+/// corrupted tree: a wild node index or a cycle returns `None`. It is also
+/// the transactional post-condition reader — a torn amalgam may have left an
+/// arbitrary word in a link slot.
 fn checked_inorder(m: &Machine, tree: &Bst) -> Option<Vec<Word>> {
     let mut out = Vec::with_capacity(tree.used);
     let mut stack = Vec::new();
+    // A sound tree pushes each of its `used` nodes exactly once; one push
+    // more means a cycle or a shared subtree.
+    let mut pushes = 0usize;
     let mut cur = m.mem().read(tree.links.at(0));
     loop {
         while cur != NIL {
-            if cur < 0 || cur as usize >= tree.used || stack.len() + out.len() > tree.used {
+            pushes += 1;
+            if cur < 0 || cur as usize >= tree.used || pushes > tree.used {
                 return None;
             }
             stack.push(cur);
@@ -367,9 +327,6 @@ fn checked_inorder(m: &Machine, tree: &Bst) -> Option<Vec<Word>> {
         }
         let Some(node) = stack.pop() else { break };
         out.push(m.mem().read(tree.keys.at(node as usize)));
-        if out.len() > tree.used {
-            return None;
-        }
         cur = m.mem().read(tree.links.at(2 + 2 * node as usize));
     }
     Some(out)
@@ -410,20 +367,20 @@ pub fn txn_insert_all(
     expected.sort_unstable();
 
     let saved_used = tree.used;
-    let budget = 2 * (saved_used + keys.len()) + 4;
+    let budget = default_budget(tree, keys);
     let result = run_transaction(m, policy, |m, mode| {
         tree.used = saved_used;
         let report = match mode {
-            ExecMode::Vector => try_vectorized_insert_all(m, tree, keys, budget)?,
+            ExecMode::Vector => insert_kernel(m, tree, keys, budget, true)?,
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
                 with_lane_mask(m, quarantined, |m| {
-                    try_vectorized_insert_all(m, tree, keys, budget)
+                    insert_kernel(m, tree, keys, budget, true)
                 })?
             }
             ExecMode::ForcedSequential => {
                 let mut report = BstReport::default();
                 for key in keys {
-                    let r = try_vectorized_insert_all(m, tree, std::slice::from_ref(key), budget)?;
+                    let r = insert_kernel(m, tree, std::slice::from_ref(key), budget, true)?;
                     report.iterations += r.iterations;
                     report.retries += r.retries;
                 }
@@ -447,17 +404,13 @@ pub fn txn_insert_all(
     result
 }
 
-/// Coalesced multi-request insertion with per-group outcomes: each element
-/// of `groups` is one caller's independent key batch (duplicates are legal,
-/// both within and across groups — a BST stores multisets), and the whole
-/// admitted set enters by **one** [`txn_insert_all`] transaction over the
-/// concatenated keys.
-///
-/// Admission is greedy and host-side: a group whose keys would overflow the
-/// node arena is refused with [`GroupError::Rejected`] before any
-/// transaction opens (later, smaller groups may still fit). If the coalesced
-/// transaction fails, [`split_retry`] bisects the admitted groups so each
-/// group succeeds or fails on its own merits.
+/// Coalesced multi-request insertion with per-group outcomes: the admitted
+/// groups enter by **one** [`txn_insert_all`] transaction over their
+/// concatenated keys, and bisection isolates a failing group
+/// ([`run_coalesced_groups`]). Duplicates are legal within and across
+/// groups (a BST stores multisets); a group that would overflow the node
+/// arena is refused with [`GroupError::Rejected`] before any transaction
+/// opens.
 ///
 /// Returns one outcome per input group, in order; an `Ok` carries the
 /// [`BstReport`] of the (possibly shared) transaction that landed the group.
@@ -468,37 +421,21 @@ pub fn txn_insert_groups(
     policy: &RetryPolicy,
 ) -> Vec<Result<BstReport, GroupError>> {
     let capacity = tree.keys.len();
-    let mut admitted: Vec<usize> = Vec::new();
-    let mut out: Vec<Option<Result<BstReport, GroupError>>> = vec![None; groups.len()];
     let mut planned = tree.used;
-    for (i, g) in groups.iter().enumerate() {
-        if planned + g.len() <= capacity {
+    run_coalesced_groups(
+        groups,
+        |g| {
+            if planned + g.len() > capacity {
+                return Some(format!(
+                    "bst arena full: group of {} keys, {planned} of {capacity} nodes already planned",
+                    g.len()
+                ));
+            }
             planned += g.len();
-            admitted.push(i);
-        } else {
-            out[i] = Some(Err(GroupError::Rejected {
-                reason: format!(
-                    "bst arena full: group of {} keys, {} of {} nodes already planned",
-                    g.len(),
-                    planned,
-                    capacity
-                ),
-            }));
-        }
-    }
-    let results = split_retry(&admitted, &mut |idxs: &[usize]| {
-        let keys: Vec<Word> = idxs
-            .iter()
-            .flat_map(|&i| groups[i].iter().copied())
-            .collect();
-        txn_insert_all(m, tree, &keys, policy).map(|(report, _)| report)
-    });
-    for (&slot, r) in admitted.iter().zip(results) {
-        out[slot] = Some(r.map_err(GroupError::from));
-    }
-    out.into_iter()
-        .map(|o| o.expect("every group has an outcome"))
-        .collect()
+            None
+        },
+        |keys| txn_insert_all(m, tree, keys, policy).map(|(report, _)| report),
+    )
 }
 
 /// Vectorized multiple *search*: every query key descends the tree in
@@ -675,16 +612,20 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_matches_infallible_on_healthy_hardware() {
+    fn guarded_stream_matches_paper_stream_on_healthy_hardware() {
+        // Every insertion round has a winner on healthy hardware, so the
+        // guarded stream's no-winner reduction never runs: both streams
+        // charge the same cycles.
         let keys = [50, 20, 70, 10, 30, 60, 80, 20];
         let mut m1 = Machine::new(CostModel::unit());
         let mut t1 = Bst::alloc(&mut m1, 16);
         let r1 = vectorized_insert_all(&mut m1, &mut t1, &keys);
         let mut m2 = Machine::new(CostModel::unit());
         let mut t2 = Bst::alloc(&mut m2, 16);
-        let r2 = try_vectorized_insert_all(&mut m2, &mut t2, &keys, 100).expect("no faults");
+        let r2 = insert_kernel(&mut m2, &mut t2, &keys, 100, true).expect("no faults");
         assert_eq!(r1, r2);
         assert_eq!(t1.inorder(&m1), t2.inorder(&m2));
+        assert_eq!(m1.stats(), m2.stats());
     }
 
     #[test]
@@ -692,7 +633,7 @@ mod tests {
         let mut m = Machine::new(CostModel::unit());
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(3, 65535)));
         let mut t = Bst::alloc(&mut m, 8);
-        let err = try_vectorized_insert_all(&mut m, &mut t, &[5, 2, 9], 30).unwrap_err();
+        let err = insert_kernel(&mut m, &mut t, &[5, 2, 9], 30, true).unwrap_err();
         assert!(matches!(
             err,
             FolError::NoSurvivors { .. }

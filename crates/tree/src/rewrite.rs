@@ -20,7 +20,7 @@
 
 use crate::NIL;
 use fol_core::error::FolError;
-use fol_core::fol_star::{fol_star_first_round, try_fol_star_first_round};
+use fol_core::fol_star::try_fol_star_first_round;
 use fol_core::recover::{
     run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport, RetryPolicy,
 };
@@ -107,25 +107,11 @@ impl OpTree {
     }
 
     /// In-order leaf symbols (diagnostic walk).
+    ///
+    /// # Panics
+    /// Panics on a cycle or a child index outside the arena.
     pub fn leaves_inorder(&self, m: &Machine) -> Vec<Word> {
-        fn walk(m: &Machine, t: &OpTree, node: Word, out: &mut Vec<Word>, fuel: &mut usize) {
-            assert!(*fuel > 0, "cycle or overgrown tree");
-            *fuel -= 1;
-            if node == NIL {
-                return;
-            }
-            let i = node as usize;
-            if m.mem().read(t.tags.at(i)) == LEAF {
-                out.push(m.mem().read(t.lefts.at(i)));
-            } else {
-                walk(m, t, m.mem().read(t.lefts.at(i)), out, fuel);
-                walk(m, t, m.mem().read(t.rights.at(i)), out, fuel);
-            }
-        }
-        let mut out = Vec::new();
-        let mut fuel = 4 * self.used + 4;
-        walk(m, self, m.mem().read(self.root.at(0)), &mut out, &mut fuel);
-        out
+        self.summary(m).0
     }
 
     /// True when no rule site remains: every `*` node's right child is a
@@ -146,65 +132,77 @@ impl OpTree {
     /// `a ∘ b` represented as pairs `(scale, offset)` with
     /// `scale = 2^depth`-ish mixing. Concretely each leaf `s` maps to
     /// `(2, s)` and `(p, q) * (r, s) = (p·r, p·s + q) mod M`.
+    ///
+    /// # Panics
+    /// Panics on a cycle or a child index outside the arena.
     pub fn eval_affine(&self, m: &Machine) -> (Word, Word) {
-        const M: Word = 1_000_000_007;
-        fn walk(mach: &Machine, t: &OpTree, node: Word) -> (Word, Word) {
-            let i = node as usize;
-            if mach.mem().read(t.tags.at(i)) == LEAF {
-                (2, mach.mem().read(t.lefts.at(i)).rem_euclid(M))
-            } else {
-                let (p, q) = walk(mach, t, mach.mem().read(t.lefts.at(i)));
-                let (r, s) = walk(mach, t, mach.mem().read(t.rights.at(i)));
-                ((p * r) % M, (p * s + q) % M)
-            }
-        }
-        walk(m, self, m.mem().read(self.root.at(0)))
+        self.summary(m).1
+    }
+
+    fn summary(&self, m: &Machine) -> (Vec<Word>, (Word, Word), bool) {
+        checked_summary(m, self).unwrap_or_else(|| panic!("cycle or overgrown tree"))
     }
 }
 
 /// Finds all applicable sites with vector operations: node indices `n` with
 /// `tags[n] = OP` and `tags[rights[n]] = OP`.
+///
+/// # Panics
+/// Panics if an `OP` node's right child is not a node index.
 pub fn find_sites(m: &mut Machine, t: &OpTree) -> VReg {
+    try_find_sites(m, t).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`find_sites`] with the right-child gather guarded: a wild right-child
+/// index (fault debris from a torn scatter in an earlier pass) returns a
+/// typed error instead of an out-of-bounds gather panic.
+fn try_find_sites(m: &mut Machine, t: &OpTree) -> Result<VReg, FolError> {
     if t.used == 0 {
-        return VReg::empty();
+        return Ok(VReg::empty());
     }
     let tags = m.vload(t.tags, 0, t.used);
     let is_op = m.vcmp_s(CmpOp::Eq, &tags, OP);
     let idx = m.iota(0, t.used);
     let ops = m.compress(&idx, &is_op);
     if ops.is_empty() {
-        return VReg::empty();
+        return Ok(VReg::empty());
     }
     let right = m.gather(t.rights, &ops);
+    check_nodes(t, &right)?;
     let rtags = m.gather(t.tags, &right);
     let site_mask = m.vcmp_s(CmpOp::Eq, &rtags, OP);
-    m.compress(&ops, &site_mask)
+    Ok(m.compress(&ops, &site_mask))
+}
+
+/// Host-side check that every gathered child index names an allocated node.
+/// A read-side fault (gather flip, stale read, torn gather) or a torn
+/// scatter in an earlier pass can hand back a wild index even when memory
+/// itself is intact; this turns it into a typed error before any dependent
+/// gather or scatter chases it.
+fn check_nodes(t: &OpTree, children: &VReg) -> Result<(), FolError> {
+    match children
+        .iter()
+        .enumerate()
+        .find(|&(_, v)| !(0..t.used as Word).contains(&v))
+    {
+        Some((position, target)) => Err(FolError::TargetOutOfBounds {
+            round: None,
+            position,
+            target,
+            domain: t.used,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Applies the rewrite at the given (parallel-processable) sites: for each
 /// site `n` with right child `r`, `X = lefts[n]`, `Y = lefts[r]`,
-/// `Z = rights[r]`, then `r ← (X * Y)` and `n ← r * Z`.
-fn apply_sites(m: &mut Machine, t: &OpTree, sites: &VReg) {
-    try_apply_sites(m, t, sites).expect("apply_sites: corrupted right-child gather");
-}
-
-/// Fallible [`apply_sites`]: the right-child gather is re-validated before
-/// any dependent gather chases it. The sites themselves were validated when
-/// they were found, but a read-side fault (gather flip, stale read, torn
-/// gather) can hand this gather a wild index even when memory is intact —
-/// that must surface as a typed error, not an out-of-bounds panic.
-fn try_apply_sites(m: &mut Machine, t: &OpTree, sites: &VReg) -> Result<(), FolError> {
+/// `Z = rights[r]`, then `r ← (X * Y)` and `n ← r * Z`. The right-child
+/// gather is re-validated ([`check_nodes`]) before any dependent gather
+/// chases it.
+fn apply_sites(m: &mut Machine, t: &OpTree, sites: &VReg) -> Result<(), FolError> {
     let r = m.gather(t.rights, sites);
-    for (i, v) in r.iter().enumerate() {
-        if !(0..t.used as Word).contains(&v) {
-            return Err(FolError::TargetOutOfBounds {
-                round: None,
-                position: i,
-                target: v,
-                domain: t.used,
-            });
-        }
-    }
+    check_nodes(t, &r)?;
     let x = m.gather(t.lefts, sites);
     let y = m.gather(t.lefts, &r);
     let z = m.gather(t.rights, &r);
@@ -264,65 +262,32 @@ pub fn scalar_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteRepo
 /// parallel-processable set (`L = 2`: sites and their right children), and
 /// apply it with conflict-free list-vector operations.
 pub fn vectorized_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteReport {
-    let mut report = RewriteReport::default();
-    loop {
-        let sites = find_sites(m, t);
-        if sites.is_empty() {
-            break;
-        }
-        report.passes += 1;
-        let rights = m.gather(t.rights, &sites);
-        let v1: Vec<Word> = sites.iter().collect();
-        let v2: Vec<Word> = rights.iter().collect();
-        let safe = fol_star_first_round(m, t.work, &[v1, v2]);
-        let safe_sites: VReg = safe.iter().map(|&p| sites.get(p)).collect();
-        report.applications += safe_sites.len();
-        apply_sites(m, t, &safe_sites);
-    }
-    report
+    rewrite_kernel(m, t, pass_budget(t), false).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`find_sites`] with the right-child gather guarded: a wild right-child
-/// index (fault debris from a torn scatter in an earlier pass) returns a
-/// typed error instead of an out-of-bounds gather panic.
-fn try_find_sites(m: &mut Machine, t: &OpTree) -> Result<VReg, FolError> {
-    if t.used == 0 {
-        return Ok(VReg::empty());
-    }
-    let tags = m.vload(t.tags, 0, t.used);
-    let is_op = m.vcmp_s(CmpOp::Eq, &tags, OP);
-    let idx = m.iota(0, t.used);
-    let ops = m.compress(&idx, &is_op);
-    if ops.is_empty() {
-        return Ok(VReg::empty());
-    }
-    let right = m.gather(t.rights, &ops);
-    for (i, v) in right.iter().enumerate() {
-        if !(0..t.used as Word).contains(&v) {
-            return Err(FolError::TargetOutOfBounds {
-                round: None,
-                position: i,
-                target: v,
-                domain: t.used,
-            });
-        }
-    }
-    let rtags = m.gather(t.tags, &right);
-    let site_mask = m.vcmp_s(CmpOp::Eq, &rtags, OP);
-    Ok(m.compress(&ops, &site_mask))
+/// The pass budget: every pass applies at least one rewrite, and reaching
+/// normal form takes fewer than `used²` applications.
+fn pass_budget(t: &OpTree) -> usize {
+    t.used * t.used + 8
 }
 
-/// Fallible vectorized rewriting: [`vectorized_rewrite_to_normal_form`]
-/// with the outer loop bounded by `max_passes`, wild child indices caught
-/// before any gather chases them, and FOL\*'s "parallel-processable" claim
-/// re-checked (sites and their right children must be pairwise distinct —
-/// Lemma 2 for `L = 2`) before the sites are applied, so a fault-fooled
-/// detection pass cannot force [`apply_sites`]'s conflict-free scatters
-/// into a conflict.
-pub fn try_vectorized_rewrite_to_normal_form(
+/// The rewriting loop behind both [`vectorized_rewrite_to_normal_form`] and
+/// [`txn_rewrite_to_normal_form`]: the outer loop is bounded by
+/// `max_passes`, wild child indices are caught before any gather chases
+/// them, and FOL\*'s "parallel-processable" claim is re-checked on the host
+/// (sites and their right children must be pairwise distinct — Lemma 2 for
+/// `L = 2`) before the sites are applied, so a fault-fooled detection pass
+/// cannot force [`apply_sites`]'s conflict-free scatters into a conflict.
+/// None of the guards charges a modelled cycle.
+///
+/// `one_site_per_pass` is the `ForcedSequential` rung: no FOL\* pass runs
+/// and each pass applies only the first site, so every rewrite scatter is a
+/// tear-immune singleton.
+fn rewrite_kernel(
     m: &mut Machine,
     t: &OpTree,
     max_passes: usize,
+    one_site_per_pass: bool,
 ) -> Result<RewriteReport, FolError> {
     let mut report = RewriteReport::default();
     loop {
@@ -338,50 +303,43 @@ pub fn try_vectorized_rewrite_to_normal_form(
             });
         }
         report.passes += 1;
-        let rights = m.gather(t.rights, &sites);
-        // Re-validate after the gather, not just after try_find_sites: a
-        // read-side fault (gather flip, stale read, torn gather) can hand
-        // back a wild child index even when memory itself is intact, and
-        // FOL* would chase it into an out-of-bounds scatter panic.
-        for (i, v) in rights.iter().enumerate() {
-            if !(0..t.used as Word).contains(&v) {
-                return Err(FolError::TargetOutOfBounds {
-                    round: None,
-                    position: i,
-                    target: v,
-                    domain: t.used,
+        let batch: VReg = if one_site_per_pass {
+            [sites.get(0)].into_iter().collect()
+        } else {
+            let rights = m.gather(t.rights, &sites);
+            check_nodes(t, &rights)?;
+            let v1: Vec<Word> = sites.iter().collect();
+            let v2: Vec<Word> = rights.iter().collect();
+            let safe = try_fol_star_first_round(m, t.work, &[v1.clone(), v2.clone()])?;
+            // Re-check disjointness across both index vectors on the host:
+            // the rewrite touches site n AND its right child r, so all 2L
+            // targets must be distinct for the batch to be
+            // parallel-processable.
+            let mut touched = Vec::with_capacity(2 * safe.len());
+            for &p in &safe {
+                touched.push(v1[p]);
+                touched.push(v2[p]);
+            }
+            touched.sort_unstable();
+            if let Some(w) = touched.windows(2).find(|w| w[0] == w[1]) {
+                return Err(FolError::DuplicateTargetInRound {
+                    round: report.passes - 1,
+                    target: w[0] as usize,
                 });
             }
-        }
-        let v1: Vec<Word> = sites.iter().collect();
-        let v2: Vec<Word> = rights.iter().collect();
-        let safe = try_fol_star_first_round(m, t.work, &[v1.clone(), v2.clone()])?;
-        // Re-check disjointness across both index vectors on the host: the
-        // rewrite touches site n AND its right child r, so all 2L targets
-        // must be distinct for the batch to be parallel-processable.
-        let mut touched = Vec::with_capacity(2 * safe.len());
-        for &p in &safe {
-            touched.push(v1[p]);
-            touched.push(v2[p]);
-        }
-        touched.sort_unstable();
-        if let Some(w) = touched.windows(2).find(|w| w[0] == w[1]) {
-            return Err(FolError::DuplicateTargetInRound {
-                round: report.passes - 1,
-                target: w[0] as usize,
-            });
-        }
-        let safe_sites: VReg = safe.iter().map(|&p| sites.get(p)).collect();
-        report.applications += safe_sites.len();
-        try_apply_sites(m, t, &safe_sites)?;
+            safe.iter().map(|&p| sites.get(p)).collect()
+        };
+        report.applications += batch.len();
+        apply_sites(m, t, &batch)?;
     }
 }
 
-/// One fuel-bounded, bounds-checked walk computing everything the
-/// transactional post-condition needs: the in-order leaf symbols, the
-/// associative [`OpTree::eval_affine`] value, and whether every *reachable*
-/// `*` node's right child is a leaf. Returns `None` on a wild node index or
-/// a cycle instead of panicking — the tree may be fault debris.
+/// The one tree walker, fuel-bounded and bounds-checked, computing
+/// everything the transactional post-condition needs: the in-order leaf
+/// symbols ([`OpTree::leaves_inorder`]), the associative
+/// [`OpTree::eval_affine`] value, and whether every *reachable* `*` node's
+/// right child is a leaf. Returns `None` on a wild node index or a cycle
+/// instead of panicking — the tree may be fault debris.
 fn checked_summary(m: &Machine, t: &OpTree) -> Option<(Vec<Word>, (Word, Word), bool)> {
     const M: Word = 1_000_000_007;
     fn walk(
@@ -453,36 +411,15 @@ pub fn txn_rewrite_to_normal_form(
         "txn_rewrite_to_normal_form: input tree is malformed"
     );
     let (ref leaves0, val0, _) = expected.unwrap();
-    let budget = t.used * t.used + 8;
+    let budget = pass_budget(t);
 
     run_transaction(m, policy, |m, mode| {
         let report = match mode {
-            ExecMode::Vector => try_vectorized_rewrite_to_normal_form(m, t, budget)?,
+            ExecMode::Vector => rewrite_kernel(m, t, budget, false)?,
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
-                with_lane_mask(m, quarantined, |m| {
-                    try_vectorized_rewrite_to_normal_form(m, t, budget)
-                })?
+                with_lane_mask(m, quarantined, |m| rewrite_kernel(m, t, budget, false))?
             }
-            ExecMode::ForcedSequential => {
-                let mut report = RewriteReport::default();
-                loop {
-                    let sites = try_find_sites(m, t)?;
-                    if sites.is_empty() {
-                        break report;
-                    }
-                    if report.passes == budget {
-                        return Err(FolError::RoundBudgetExceeded {
-                            budget,
-                            live: sites.len(),
-                            completed_rounds: report.passes,
-                        });
-                    }
-                    report.passes += 1;
-                    report.applications += 1;
-                    let one: VReg = [sites.get(0)].into_iter().collect();
-                    try_apply_sites(m, t, &one)?;
-                }
-            }
+            ExecMode::ForcedSequential => rewrite_kernel(m, t, budget, true)?,
             ExecMode::ScalarTail => scalar_rewrite_to_normal_form(m, t),
         };
         match checked_summary(m, t) {
@@ -499,6 +436,7 @@ pub fn txn_rewrite_to_normal_form(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fol_core::fol_star::fol_star_first_round;
     use fol_vm::{ConflictPolicy, CostModel};
 
     #[test]
@@ -605,15 +543,16 @@ mod tests {
     }
 
     #[test]
-    fn try_rewrite_matches_infallible_on_healthy_hardware() {
+    fn guarded_stream_matches_paper_stream_on_healthy_hardware() {
         let symbols: Vec<Word> = (0..20).map(|i| i * 3 + 1).collect();
         let mut m1 = Machine::new(CostModel::unit());
         let t1 = OpTree::right_comb(&mut m1, &symbols);
         let r1 = vectorized_rewrite_to_normal_form(&mut m1, &t1);
         let mut m2 = Machine::new(CostModel::unit());
         let t2 = OpTree::right_comb(&mut m2, &symbols);
-        let r2 = try_vectorized_rewrite_to_normal_form(&mut m2, &t2, 10_000).expect("no faults");
+        let r2 = rewrite_kernel(&mut m2, &t2, 10_000, false).expect("no faults");
         assert_eq!(r1, r2);
+        assert_eq!(m1.stats(), m2.stats(), "the guards charge no cycles");
         assert_eq!(t1.leaves_inorder(&m1), t2.leaves_inorder(&m2));
         assert_eq!(t1.eval_affine(&m1), t2.eval_affine(&m2));
     }
@@ -625,7 +564,7 @@ mod tests {
         let mut m = Machine::new(CostModel::unit());
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(9, 65535)));
         let t = OpTree::right_comb(&mut m, &[1, 2, 3, 4, 5]);
-        let err = try_vectorized_rewrite_to_normal_form(&mut m, &t, 12).unwrap_err();
+        let err = rewrite_kernel(&mut m, &t, 12, false).unwrap_err();
         assert!(matches!(
             err,
             FolError::RoundBudgetExceeded { budget: 12, .. }

@@ -4,11 +4,12 @@
 
 use fol_suite::core::host::fol1_host;
 use fol_suite::core::theory;
+use fol_suite::graph::components::{self, Components};
 use fol_suite::hash::chaining::ChainTable;
 use fol_suite::hash::{chaining, hash_mod, UNENTERED};
 use fol_suite::sort::address_calc;
 use fol_suite::tree::rewrite::{self, OpTree};
-use fol_suite::vm::{AluOp, CostModel, Machine};
+use fol_suite::vm::{AluOp, CostModel, Machine, OpKind, Word};
 
 #[test]
 fn fig4_forced_vectorization_loses_a_key() {
@@ -111,4 +112,82 @@ fn theorem6_all_equal_means_n_rounds() {
         40 * 41 / 2,
         "O(N^2) worst-case work"
     );
+}
+
+/// A machine's modelled-cost footprint: total cycles plus the count of every
+/// operation kind it issued, in `OpKind::ALL` order.
+fn footprint(m: &Machine) -> String {
+    let stats = m.stats();
+    let mut out = format!("cycles={}", stats.cycles());
+    for kind in OpKind::ALL {
+        let n = stats.count(kind);
+        if n > 0 {
+            out.push_str(&format!(" {kind:?}={n}"));
+        }
+    }
+    out
+}
+
+#[test]
+fn kernels_without_a_repro_charge_pinned_modelled_cycles() {
+    // The repro goldens pin every kernel the paper's figures exercise; these
+    // three reach no repro output directly (chaining only through the hash
+    // join). Each row fixes an input on the S-810 model and pins the
+    // result, the modelled cycles and the per-kind op counts.
+    // (kernel, run on a fresh machine -> result, pinned result, pinned cost)
+    type Case = (
+        &'static str,
+        fn(&mut Machine) -> String,
+        &'static str,
+        &'static str,
+    );
+    let cases: [Case; 3] = [
+        (
+            "chaining::vectorized_insert_all",
+            |m| {
+                let mut t = ChainTable::alloc(m, 13, 64);
+                let keys: Vec<Word> = (0..48).map(|i| (i * 37) % 101).collect();
+                m.reset_stats();
+                let rounds = chaining::vectorized_insert_all(m, &mut t, &keys);
+                format!("rounds={rounds} keys={}", chaining::all_keys(m, &t).len())
+            },
+            "rounds=5 keys=48",
+            "cycles=17449 VLoad=1 VGather=10 VScatter=16 VAlu=8 VCmp=5 VMaskOp=5 VCompress=25 VIota=1",
+        ),
+        (
+            "components::vectorized_components",
+            |m| {
+                let edges: Vec<(Word, Word)> = (0..40).map(|i| (i % 30, (i * 7 + 3) % 30)).collect();
+                let g = Components::new(m, 30, &edges);
+                m.reset_stats();
+                let sweeps = components::vectorized_components(m, &g);
+                format!("sweeps={sweeps} labels={:?}", g.labelling(m))
+            },
+            "sweeps=3 labels=[0, 1, 2, 0, 1, 5, 6, 7, 5, 6, 1, 11, 12, 1, 11, 6, 16, 2, 6, 16, 11, 0, 7, 11, 0, 16, 5, 12, 16, 5]",
+            "cycles=23578 VLoad=6 VStore=1 VGather=18 VScatter=12 VAlu=6 VCmp=9 VMaskOp=6 VCompress=28 VReduce=3 VIota=5",
+        ),
+        (
+            "rewrite::vectorized_rewrite_to_normal_form",
+            |m| {
+                let symbols: Vec<Word> = (1..=24).collect();
+                let t = OpTree::right_comb(m, &symbols);
+                m.reset_stats();
+                let r = rewrite::vectorized_rewrite_to_normal_form(m, &t);
+                format!(
+                    "passes={} applications={} normal={}",
+                    r.passes,
+                    r.applications,
+                    t.is_normal_form(m)
+                )
+            },
+            "passes=22 applications=22 normal=true",
+            "cycles=148287 VLoad=111 VGather=200 VScatter=132 VCmp=90 VMaskOp=44 VCompress=46 VReduce=22 VIota=23",
+        ),
+    ];
+    for (name, run, want_result, want_cost) in cases {
+        let mut m = Machine::new(CostModel::s810());
+        let got = run(&mut m);
+        assert_eq!(got, want_result, "{name}: result");
+        assert_eq!(footprint(&m), want_cost, "{name}: modelled cost");
+    }
 }
